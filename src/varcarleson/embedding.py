@@ -63,13 +63,11 @@ __all__ = [
     "dump_field",
     "load_field",
     "THETA_PLUS",
-    "THETA_IN_PLUS",
     "theta_windows",
 ]
 
 # angular windows for the right-truncation sign; the left sign mirrors them
 THETA_PLUS = (-0.25, 1.125)
-THETA_IN_PLUS = None  # depends on eps; see theta_windows
 
 
 def theta_windows(table: MultiplierTable, sign: int) -> tuple:
@@ -138,25 +136,25 @@ def _same_axis(grid_y: np.ndarray, signal: SampledSignal) -> bool:
 def _spectral_field(signal: SampledSignal, grid: TFSGrid, profile) -> np.ndarray:
     """Assemble sum_xi fhat(xi) profile(eta, t, xi) e^{2 pi i xi y} dxi.
 
-    ``profile(eta, t, xi_array)`` returns the window values.  Uses the grid
-    inverse transform when the y axis is the signal axis, otherwise a direct
-    exponential sum.
+    ``profile(eta, t, xi)`` receives broadcast node arrays shaped
+    ``(n_eta, 1, 1)``, ``(1, n_t, 1)`` and ``(1, 1, n_xi)`` and returns the
+    window values on all nodes at once, shaped ``(n_eta, n_t, n_xi)``.  When
+    the y axis is the signal axis, one grid inverse transform along the
+    frequency axis yields the field; otherwise one stacked matmul against
+    the exponential phases does.
     """
     coeffs = _dft_values(signal.values, signal.x0, signal.dx)
     xi = _freq_grid(signal.n, signal.dx)
-    fast = _same_axis(grid.y, signal)
-    if not fast:
-        dxi = 1.0 / (signal.n * signal.dx)
-        phases = np.exp(2j * np.pi * np.outer(xi, grid.y)) * dxi  # (n_xi, n_y)
-    out = np.empty(grid.shape + (signal.dim,), dtype=complex)
-    for i, eta in enumerate(grid.eta):
-        for k, t in enumerate(grid.t):
-            windowed = profile(eta, t, xi)[:, None] * coeffs
-            if fast:
-                out[i, :, k, :] = _idft_values(windowed, signal.x0, signal.dx)
-            else:
-                out[i, :, k, :] = phases.T @ windowed
-    return out
+    prof = profile(grid.eta[:, None, None], grid.t[None, :, None], xi[None, None, :])
+    windowed = prof[..., None] * coeffs  # (n_eta, n_t, n_xi, dim)
+    if _same_axis(grid.y, signal):
+        n_eta, n_t = prof.shape[:2]
+        stacked = np.moveaxis(windowed, 2, 0).reshape(signal.n, -1)
+        field = _idft_values(stacked, signal.x0, signal.dx)
+        return field.reshape(signal.n, n_eta, n_t, signal.dim).transpose(1, 0, 2, 3)
+    dxi = 1.0 / (signal.n * signal.dx)
+    phases = np.exp(2j * np.pi * np.outer(xi, grid.y)) * dxi  # (n_xi, n_y)
+    return np.moveaxis(phases.T @ windowed, 2, 1)
 
 
 def embed_signal(signal: SampledSignal, grid: TFSGrid, config: EmbeddingConfig) -> OuterField:
@@ -313,24 +311,23 @@ def embed_majorant(
     for k, t in enumerate(grid.t):
         u = (x[None, :] - grid.y[:, None]) / t
         kernel = (1.0 + u * u) ** (-0.5 * config.kernel_power) / t  # (n_y, n_x)
-        for i, eta in enumerate(grid.eta):
-            ang = t * (eta - anchors.T)  # (J, n)
-            active = (ang > lo) & (ang < hi)
-            if math.isinf(rp):
-                amp = np.where(active, norms, 0.0).max(axis=0)
-            else:
-                amp = (np.where(active, n_pow, 0.0).sum(axis=0)) ** (1.0 / rp)
-            out[i, :, k, 0] = kernel @ amp * first.dx
+        ang = t * (grid.eta[:, None, None] - anchors.T)  # (n_eta, J, n)
+        active = (ang > lo) & (ang < hi)
+        if math.isinf(rp):
+            amp = np.where(active, norms, 0.0).max(axis=1)
+        else:
+            amp = (np.where(active, n_pow, 0.0).sum(axis=1)) ** (1.0 / rp)
+        out[:, :, k, 0] = (kernel @ amp[..., None])[..., 0] * first.dx
     return OuterField(grid, out, NormedSpace(1, 2.0))
 
 
-def _ridge_windows(interval: tuple, eps: float, t: float, sign: int) -> tuple:
+def _ridge_windows(interval: tuple, eps: float, t: np.ndarray, sign: int) -> tuple:
     c_lo, c_hi = interval
     if sign == +1:
         lo = c_lo + (1.0 - eps) / t
-        hi = min(c_hi - (1.0 - eps) / t, c_lo + (1.0 + eps) / t)
+        hi = np.minimum(c_hi - (1.0 - eps) / t, c_lo + (1.0 + eps) / t)
     else:
-        lo = max(c_lo + (1.0 - eps) / t, c_hi - (1.0 + eps) / t)
+        lo = np.maximum(c_lo + (1.0 - eps) / t, c_hi - (1.0 + eps) / t)
         hi = c_hi - (1.0 - eps) / t
     return lo, hi
 
@@ -384,16 +381,21 @@ def check_dual_representation(
     rhs = 0.0 + 0.0j
     nodes = 0
     for sign in (+1, -1):
-        for t in scales:
-            lo, hi = _ridge_windows((c_lo, c_hi), eps, t, sign)
-            if not hi > lo:
-                continue
-            width = hi - lo
-            etas = lo + (np.arange(eta_per_window) + 0.5) * width / eta_per_window
-            for eta in etas:
-                prof = packet_hat(table, (c_lo, c_hi), eta, t, t * (xi_band - eta), sign=sign)
-                rhs += (cross_band * prof).sum() * (width / eta_per_window) * (t * dlt)
-                nodes += 1
+        lo, hi = _ridge_windows((c_lo, c_hi), eps, scales, sign)
+        live = hi > lo
+        t, lo = scales[live][:, None], lo[live][:, None]
+        width = hi[live][:, None] - lo
+        etas = lo + (np.arange(eta_per_window) + 0.5) * width / eta_per_window  # (n_t, n_e)
+        prof = packet_hat(
+            table, (c_lo, c_hi), etas[..., None], t[..., None],
+            t[..., None] * (xi_band - etas[..., None]), sign=sign,
+        )
+        row_sum = (cross_band * prof).sum(axis=-1)
+        # a sequential sum in (t, eta) order, weights applied one at a time:
+        # pairwise summation or a folded weight would move rhs's last bits
+        for term in (row_sum * (width / eta_per_window) * (t * dlt)).ravel():
+            rhs += term
+        nodes += row_sum.size
     abs_err = abs(lhs - rhs)
     if lhs != 0:
         rel_err = abs_err / abs(lhs)
@@ -530,12 +532,21 @@ def load_field(path) -> OuterField:
         header = None
     if not isinstance(header, dict) or header.get("format") != _FIELD_MAGIC:
         raise ConfigurationError(f"not a field dump: bad format tag in {path}")
-    grid = TFSGrid(
-        np.asarray(header["eta"], dtype=float),
-        np.asarray(header["y"], dtype=float),
-        np.asarray(header["t"], dtype=float),
-    )
-    space = NormedSpace(int(header["dim"]), float(header["exponent"]))
+    missing = [key for key in ("eta", "y", "t", "dim", "exponent") if key not in header]
+    if missing:
+        raise ConfigurationError(f"field dump header lacks {', '.join(missing)} in {path}")
+    try:
+        axes = [np.asarray(header[key], dtype=float) for key in ("eta", "y", "t")]
+        dim, exponent = int(header["dim"]), float(header["exponent"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"field dump header has a malformed value ({exc}) in {path}")
+    grid = TFSGrid(*axes)
+    space = NormedSpace(dim, exponent)
     shape = grid.shape + (space.dim,)
+    want = math.prod(shape) * np.dtype(np.complex128).itemsize
+    if len(raw) != want:
+        raise ConfigurationError(
+            f"field dump payload has {len(raw)} bytes, header needs {want}, in {path}"
+        )
     values = np.frombuffer(raw, dtype=np.complex128).reshape(shape)
     return OuterField(grid, values, space)

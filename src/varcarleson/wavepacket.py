@@ -87,7 +87,8 @@ class Bumps:
     chi_plus interpolates a symmetrized cumulative table with a cubic
     spline, clamped to exactly 0 below -eps and exactly 1 above +eps, so
     that the partition identity chi_plus + chi_minus == 1 and the support
-    statements hold to machine precision.
+    statements hold to machine precision.  Obtain instances through
+    :func:`build_bumps`, which builds the table once per spec.
     """
 
     def __init__(self, spec: BumpSpec):
@@ -132,8 +133,18 @@ class Bumps:
         return (vals[None, :] * np.exp(2j * np.pi * np.outer(x, zeta))).sum(axis=1)
 
 
+_bumps_cache: dict = {}
+
+
 def build_bumps(spec: BumpSpec) -> Bumps:
-    return Bumps(spec)
+    """The :class:`Bumps` of ``spec``, built on first use and shared after.
+
+    ``BumpSpec`` is frozen with ``eps`` normalized, so equal specs hash
+    alike and one instance serves every caller.
+    """
+    if spec not in _bumps_cache:
+        _bumps_cache[spec] = Bumps(spec)
+    return _bumps_cache[spec]
 
 
 def _box_nodes(spec: BumpSpec, order: int):

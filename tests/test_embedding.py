@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,9 @@ from varcarleson.core import (
     NormedSpace,
     SampledSignal,
     SequenceSignal,
+    _dft_values,
+    _freq_grid,
+    _idft_values,
     duality_pairing,
     make_signal,
     norm_eval,
@@ -32,7 +36,7 @@ from varcarleson.embedding import (
 from varcarleson.fourier import linearized_vc
 from varcarleson.outersize import size_holder_check
 from varcarleson.tfs import StripDictionary, TFSGrid, TreeDictionary
-from varcarleson.wavepacket import BumpSpec, assemble_m
+from varcarleson.wavepacket import BumpSpec, assemble_m, packet_hat
 
 CALIBRATION = load_calibration()
 
@@ -472,3 +476,170 @@ def test_field_dump_roundtrip(config, table, tmp_path):
     mangled.write_bytes(b"not a field\n" + b"\0" * 16)
     with pytest.raises(ConfigurationError):
         load_field(mangled)
+
+
+def small_field_dump(config, path):
+    f = make_signal("bandlimited-random", {"band": 0.9}, n=128, dx=1.0 / 8.0,
+                    space=SPACE, seed=4)
+    grid = TFSGrid.build((-1.0, 1.0), 2, (-8.0, 8.0), 2, 0.5, 1.0, 2.0)
+    dump_field(embed_signal(f, grid, config), path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    return json.loads(header), payload
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("dim", None, r"lacks dim in .*field\.vcf"),
+    ("dim", "two", r"malformed value .* in .*field\.vcf"),
+], ids=["missing-key", "mistyped-value"])
+def test_load_field_rejects_bad_header(config, tmp_path, key, value, message):
+    path = tmp_path / "field.vcf"
+    header, payload = small_field_dump(config, path)
+    if value is None:
+        del header[key]
+    else:
+        header[key] = value
+    path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+    with pytest.raises(ConfigurationError, match=message):
+        load_field(path)
+
+
+def test_load_field_rejects_truncated_payload(config, tmp_path):
+    path = tmp_path / "field.vcf"
+    header, payload = small_field_dump(config, path)
+    path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload[:-16])
+    with pytest.raises(ConfigurationError, match=r"240 bytes, header needs 256, in .*field"):
+        load_field(path)
+
+
+# --- per-node oracles --------------------------------------------------------
+#
+# The embeddings evaluate packet profiles over whole node arrays.  These loops
+# are the one-node-at-a-time evaluation they replace, kept here as oracles:
+# the batched fields must reproduce them bit for bit.
+
+
+def loop_spectral_field(signal, grid, profile):
+    coeffs = _dft_values(signal.values, signal.x0, signal.dx)
+    xi = _freq_grid(signal.n, signal.dx)
+    dxi = 1.0 / (signal.n * signal.dx)
+    phases = np.exp(2j * np.pi * np.outer(xi, grid.y)) * dxi
+    fast = grid.y.size == signal.n and np.allclose(grid.y, signal.grid(), rtol=0.0,
+                                                   atol=1e-9 * signal.dx)
+    out = np.empty(grid.shape + (signal.dim,), dtype=complex)
+    for i, eta in enumerate(grid.eta):
+        for k, t in enumerate(grid.t):
+            windowed = profile(eta, t, xi)[:, None] * coeffs
+            if fast:
+                out[i, :, k, :] = _idft_values(windowed, signal.x0, signal.dx)
+            else:
+                out[i, :, k, :] = phases.T @ windowed
+    return out
+
+
+def loop_majorant(increments, anchors, grid, theta, config):
+    first = increments.entries[0]
+    x = first.grid()
+    lo, hi = theta
+    norms = np.stack([norm_eval(e.values, e.space) for e in increments.entries])
+    rp = config.r_prime
+    out = np.empty(grid.shape + (1,), dtype=complex)
+    for k, t in enumerate(grid.t):
+        u = (x[None, :] - grid.y[:, None]) / t
+        kernel = (1.0 + u * u) ** (-0.5 * config.kernel_power) / t
+        for i, eta in enumerate(grid.eta):
+            ang = t * (eta - anchors.T)
+            active = (ang > lo) & (ang < hi)
+            if math.isinf(rp):
+                amp = np.where(active, norms, 0.0).max(axis=0)
+            else:
+                amp = (np.where(active, norms**rp, 0.0).sum(axis=0)) ** (1.0 / rp)
+            out[i, :, k, 0] = kernel @ amp * first.dx
+    return out
+
+
+def loop_dual_rhs(signal, dual, interval, table, t_min, t_max, t_steps, eta_per_window):
+    c_lo, c_hi = interval
+    xi = _freq_grid(signal.n, signal.dx)
+    dxi = 1.0 / (signal.n * signal.dx)
+    cross = duality_pairing(_dft_values(signal.values, signal.x0, signal.dx),
+                            _dft_values(dual.values, dual.x0, dual.dx)) * dxi
+    keep = np.abs(cross) > 0.0
+    xi_band, cross_band = xi[keep], cross[keep]
+    eps = table.spec.eps
+    dlt = math.log(t_max / t_min) / t_steps
+    rhs = 0.0 + 0.0j
+    nodes = 0
+    for sign in (+1, -1):
+        for t in t_min * np.exp((np.arange(t_steps) + 0.5) * dlt):
+            if sign == +1:
+                lo = c_lo + (1.0 - eps) / t
+                hi = min(c_hi - (1.0 - eps) / t, c_lo + (1.0 + eps) / t)
+            else:
+                lo = max(c_lo + (1.0 - eps) / t, c_hi - (1.0 + eps) / t)
+                hi = c_hi - (1.0 - eps) / t
+            if not hi > lo:
+                continue
+            width = hi - lo
+            for eta in lo + (np.arange(eta_per_window) + 0.5) * width / eta_per_window:
+                prof = packet_hat(table, interval, eta, t, t * (xi_band - eta), sign=sign)
+                rhs += (cross_band * prof).sum() * (width / eta_per_window) * (t * dlt)
+                nodes += 1
+    return rhs, nodes
+
+
+def test_embed_signal_matches_node_loop(config):
+    f = make_signal("bandlimited-random", {"band": 0.9}, n=128, dx=1.0 / 8.0,
+                    space=SPACE, seed=31)
+    on_axis = signal_grid_tfs(f, (-2.0, 2.0), 9, 0.4, 1.7)
+    off_axis = TFSGrid.build((-2.0, 2.0), 9, (-8.0, 8.0), 9, 0.4, 1.6, 2.0)
+    for grid in (on_axis, off_axis):
+        want = loop_spectral_field(
+            f, grid, lambda eta, t, xi: analyzing_window(config, t * (xi - eta)))
+        assert np.abs(want).max() > 0.0
+        assert np.array_equal(embed_signal(f, grid, config).values, want)
+
+
+def test_embed_packets_matches_node_loop(table):
+    f = make_signal("bandlimited-random", {"band": 0.9}, n=128, dx=1.0 / 8.0,
+                    space=SPACE, seed=32)
+    on_axis = signal_grid_tfs(f, (-2.0, 2.0), 17, 0.4, 1.7)
+    off_axis = TFSGrid.build((-2.0, 2.0), 17, (-8.0, 8.0), 9, 0.4, 1.6, 2.0)
+    cases = ((+1, (-2.5, 2.5)), (-1, (-2.5, 2.5)), (+1, (-1.5, math.inf)),
+             (-1, (-math.inf, 1.5)))
+    for grid in (on_axis, off_axis):
+        for sign, interval in cases:
+            want = loop_spectral_field(
+                f, grid,
+                lambda eta, t, xi: packet_hat(table, interval, eta, t, t * (xi - eta),
+                                              sign=sign))
+            assert np.abs(want).max() > 0.0
+            got = embed_packets(f, table, interval, grid, sign=sign).values
+            assert np.array_equal(got, want)
+
+
+def test_embed_majorant_matches_node_loop(config):
+    f = make_signal("bandlimited-random", {"band": 0.9}, n=64, dx=1.0 / 4.0,
+                    space=SPACE, seed=33)
+    increments = linearized_vc(f, FrequencySelection.constant([-1.0, 0.0, 1.0], f.n))
+    grid = TFSGrid.build((-1.0, 1.0), 9, (-4.0, 4.0), 9, 0.5, 1.1, 2.0)
+    anchors = np.tile([-0.6, 0.3], (f.n, 1))
+    anchors[::3, 0] = 0.1  # per-sample anchors switch the window on and off
+    theta = (-0.25, 1.125)
+    for r_prime in (2.0, 3.0, math.inf):
+        cfg = EmbeddingConfig(config.table, r_prime=r_prime)
+        want = loop_majorant(increments, anchors, grid, theta, cfg)
+        assert np.abs(want).max() > 0.0
+        got = embed_majorant(increments, anchors, grid, theta, cfg).values
+        assert np.array_equal(got, want)
+
+
+def test_dual_representation_matches_node_loop(table):
+    f, g = dual_rep_signals()
+    for interval, t_range, steps, per in (((-2.5, 2.5), (0.25, 0.75), 40, 4),
+                                          ((-1.0, 1.5), (0.3, 1.2), 24, 3)):
+        rep = check_dual_representation(f, g, interval, table, t_min=t_range[0],
+                                        t_max=t_range[1], t_steps=steps, eta_per_window=per)
+        rhs, nodes = loop_dual_rhs(f, g, interval, table, *t_range, steps, per)
+        assert nodes > 0
+        assert rep["nodes"] == nodes
+        assert rep["rhs"] == rhs

@@ -62,6 +62,15 @@ def test_bump_values_and_partition():
     assert float(bumps.phi_hat(0.0)) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
 
+def test_build_bumps_is_memoized_per_spec():
+    bumps = build_bumps(BumpSpec(1.0 / 16.0))
+    # eps defaults to b/16 = 1/256, so both specs are equal keys
+    assert build_bumps(BumpSpec(1.0 / 16.0, 1.0 / 256.0)) is bumps
+    assert build_bumps(BumpSpec(0.125, 1.0 / 128.0)) is not bumps
+    z = np.linspace(-3.0 * bumps.spec.eps, 3.0 * bumps.spec.eps, 601)
+    assert np.abs(bumps.chi_plus(z) + bumps.chi_minus(z) - 1.0).max() <= 1e-12
+
+
 def test_profile_space_inversion_is_even_and_peaks_at_origin():
     bumps = build_bumps(BumpSpec())
     x = np.linspace(-40.0, 40.0, 81)
