@@ -53,6 +53,7 @@ from .core import (
     FrequencySelection,
     NormedSpace,
     SequenceSignal,
+    dual_exponent,
     make_signal,
     norm_eval,
 )
@@ -243,14 +244,6 @@ def load_calibration() -> dict:
     return json.loads(text)
 
 
-def _dual_exponent(s: float) -> float:
-    if math.isinf(s):
-        return 1.0
-    if s <= 1.0:
-        return math.inf
-    return s / (s - 1.0)
-
-
 def admissibility_flags(p: float, q: float, r: float, r0: float) -> dict:
     """Exponent-region flags for the variational bound and its dual pairing.
 
@@ -263,10 +256,10 @@ def admissibility_flags(p: float, q: float, r: float, r0: float) -> dict:
         raise ConfigurationError(
             f"exponents need p, q, r >= 1 and r0 > 1, got p={p} q={q} r={r} r0={r0}"
         )
-    p_threshold = _dual_exponent(r / (r0 - 1.0))
+    p_threshold = dual_exponent(r / (r0 - 1.0))
     operator_ok = r > r0 and p > p_threshold
-    pairing_dual_ok = _dual_exponent(q) > _dual_exponent(r)
-    pairing_ok = q > _dual_exponent(min(p, r0)) * (r0 - 1.0)
+    pairing_dual_ok = dual_exponent(q) > dual_exponent(r)
+    pairing_ok = q > dual_exponent(min(p, r0)) * (r0 - 1.0)
     return {
         "p_threshold": p_threshold,
         "operator": operator_ok,
@@ -299,11 +292,15 @@ class ExperimentConfig:
         return admissibility_flags(float(e["p"]), float(e["q"]), float(e["r"]), float(e["r0"]))
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
+def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
+    """Override values of ``base``; a key that ``base`` lacks is a typo."""
     out = dict(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
+        name = f"{path}{key}"
+        if key not in out:
+            raise ConfigurationError(f"unknown config key {name!r}")
+        if isinstance(value, dict) and isinstance(out[key], dict):
+            out[key] = _deep_merge(out[key], value, name + ".")
         else:
             out[key] = value
     return out

@@ -22,6 +22,7 @@ __all__ = [
     "SampledSignal",
     "SequenceSignal",
     "FrequencySelection",
+    "dual_exponent",
     "norm_eval",
     "duality_pairing",
     "make_signal",
@@ -53,6 +54,15 @@ def _as_float(name: str, value) -> float:
     return out
 
 
+def dual_exponent(p: float) -> float:
+    """The conjugate exponent p' = p/(p-1), with inf' = 1 and p' = inf for p <= 1."""
+    if math.isinf(p):
+        return 1.0
+    if p <= 1.0:
+        return math.inf
+    return p / (p - 1.0)
+
+
 @dataclass(frozen=True)
 class NormedSpace:
     """The coordinate space C^d with the l^p norm, 1 <= p <= inf."""
@@ -72,12 +82,7 @@ class NormedSpace:
     @property
     def dual_exponent(self) -> float:
         """The conjugate exponent p' = p/(p-1), with 1' = inf and inf' = 1."""
-        p = self.exponent
-        if p == 1.0:
-            return math.inf
-        if math.isinf(p):
-            return 1.0
-        return p / (p - 1.0)
+        return dual_exponent(self.exponent)
 
     def dual(self) -> "NormedSpace":
         return NormedSpace(self.dim, self.dual_exponent)

@@ -213,10 +213,7 @@ def _rowwise_partial(signal: SampledSignal, cutoffs: np.ndarray) -> np.ndarray:
     """C_{c(x_i)} f(x_i) with a per-sample cutoff array; shape (n, d)."""
     spec = dft(signal)
     x = signal.grid()
-    tol = 1e-9 * spec.dxi
-    diff = spec.frequencies[None, :] - cutoffs[:, None]  # (n_x, n_freq)
-    w = np.where(diff < -tol, 1.0, 0.0)
-    w[np.abs(diff) <= tol] = 0.5
+    w = _cutoff_weights(spec.frequencies, cutoffs)  # (n_x, n_freq)
     phases = np.exp(2j * np.pi * x[:, None] * spec.frequencies[None, :]) * spec.dxi
     return np.einsum("xk,xk,kd->xd", w, phases, spec.coefficients, optimize=True)
 

@@ -15,12 +15,11 @@ quasinorm as the size.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, duality_pairing
+from .core import ConfigurationError, dual_exponent, duality_pairing
 from .tfs import (
     OuterField,
     Strip,
@@ -80,26 +79,6 @@ class SizeSpec:
             raise ConfigurationError(f"size kind {self.kind!r} takes no exponent")
 
 
-# stacked boolean node masks per dictionary and region, built once per object
-_stack_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _stacked_masks(dictionary, region: str) -> np.ndarray:
-    per = _stack_cache.setdefault(dictionary, {})
-    if region not in per:
-        if region == "full":
-            mat = np.stack([m.ravel() for m in dictionary.masks])
-        else:
-            mat = np.stack(
-                [
-                    tree_membership(dictionary.grid, tree, region).ravel()
-                    for tree in dictionary.trees
-                ]
-            )
-        per[region] = mat
-    return per[region]
-
-
 def _elements(dictionary):
     return dictionary.trees if isinstance(dictionary, TreeDictionary) else dictionary.strips
 
@@ -108,37 +87,39 @@ def _measures(dictionary) -> np.ndarray:
     return np.array([e.s for e in _elements(dictionary)])
 
 
-def _quadratic_density(field: OuterField) -> np.ndarray:
+def _terms(field: OuterField, norms: np.ndarray, spec: SizeSpec) -> list:
+    """The size as a sum of (region, exponent, density) terms over flat cells.
+
+    A finite exponent p makes a term (region sum of the density / measure)^(1/p)
+    with the density already raised to p; p = inf makes it the region max of
+    the density.  ``r`` is the energy term alone; ``f`` and ``fstar`` add the
+    sup over the full tree or the L1 average over the in part to it.
+    """
+    weights = field.grid.cell_weights().ravel()
+
+    def lp(exponent: float, region: str) -> tuple:
+        return (region, exponent, norms if math.isinf(exponent) else weights * norms**exponent)
+
+    if spec.kind == "lp":
+        return [lp(spec.exponent, spec.region)]
     # energy density through the duality pairing, not the norm evaluator
-    return np.real(duality_pairing(field.values, field.values)).ravel()
+    quad = np.real(duality_pairing(field.values, field.values)).ravel()
+    energy = ("out", 2.0, weights * quad)
+    extra = {"r": [], "f": [lp(math.inf, "full")], "fstar": [lp(1.0, "in")]}
+    return [energy] + extra[spec.kind]
 
 
 def _sizes_over(field: OuterField, dictionary, spec: SizeSpec) -> np.ndarray:
-    """Local sizes of every dictionary element, vectorized over masks."""
-    weights = field.grid.cell_weights().ravel()
+    """Local sizes of every dictionary element, one pass over each term's incidence."""
     measures = _measures(dictionary)
-    if isinstance(dictionary, StripDictionary) and spec.kind != "lp":
-        raise ValueError(f"size kind {spec.kind!r} is defined on trees only")
-
-    def lp_part(exponent: float, region: str) -> np.ndarray:
-        mat = _stacked_masks(dictionary, region)
+    parts = []
+    for region, exponent, density in _terms(field, field.norms().ravel(), spec):
+        mat = dictionary.incidence(region).reshape(measures.size, -1)
         if math.isinf(exponent):
-            norms = field.norms().ravel()
-            return np.where(mat, norms[None, :], 0.0).max(axis=1)
-        density = weights * field.norms().ravel() ** exponent
-        return (mat @ density / measures) ** (1.0 / exponent)
-
-    if spec.kind == "lp":
-        return lp_part(spec.exponent, spec.region)
-    energy = np.sqrt(
-        np.maximum(_stacked_masks(dictionary, "out") @ (weights * _quadratic_density(field)), 0.0)
-        / measures
-    )
-    if spec.kind == "r":
-        return energy
-    if spec.kind == "f":
-        return energy + lp_part(math.inf, "full")
-    return energy + lp_part(1.0, "in")
+            parts.append(np.where(mat, density[None, :], 0.0).max(axis=1))
+        else:
+            parts.append((np.maximum(mat @ density, 0.0) / measures) ** (1.0 / exponent))
+    return sum(parts[1:], parts[0])
 
 
 def _region_mask(field: OuterField, element, region: str) -> np.ndarray:
@@ -250,7 +231,8 @@ class _SupPiece:
         self.ptr = self.indptr[:-1].astype(np.int64)
         self.alive = alive
 
-    def advance(self) -> None:
+    def remove(self, cells: np.ndarray) -> None:
+        """Skip list heads that left ``alive``; ``cells`` is implied by it."""
         if self.cells.size == 0:
             return
         end = self.indptr[1:]
@@ -270,47 +252,30 @@ class _SupPiece:
 
 
 def _spec_state(field: OuterField, dictionary, spec: SizeSpec, alive: np.ndarray):
-    """Build the incremental pieces and the combine rule for one size spec."""
-    weights = field.grid.cell_weights().ravel()
+    """Incremental sizes of every element as cells leave ``alive``."""
     norms = field.norms().ravel()
     support = np.flatnonzero(norms > 0.0)
     measures = _measures(dictionary)
-    linear, sups, combine = [], [], []
-
-    def add_lp(exponent: float, region: str) -> None:
-        stack = _stacked_masks(dictionary, region)
+    pieces = []
+    for region, exponent, density in _terms(field, norms, spec):
+        stack = dictionary.incidence(region).reshape(measures.size, -1)
         if math.isinf(exponent):
-            sups.append(_SupPiece(stack, support, norms, alive))
-            combine.append(("sup", len(sups) - 1, None))
+            pieces.append((_SupPiece(stack, support, density, alive), exponent))
         else:
-            linear.append(_LinearPiece(stack, support, weights * norms**exponent))
-            combine.append(("lin", len(linear) - 1, exponent))
-
-    if spec.kind == "lp":
-        add_lp(spec.exponent, spec.region)
-    else:
-        quad = _quadratic_density(field)
-        linear.append(_LinearPiece(_stacked_masks(dictionary, "out"), support, weights * quad))
-        combine.append(("lin", 0, 2.0))
-        if spec.kind == "f":
-            add_lp(math.inf, "full")
-        elif spec.kind == "fstar":
-            add_lp(1.0, "in")
+            pieces.append((_LinearPiece(stack, support, density), exponent))
 
     def sizes() -> np.ndarray:
-        total = np.zeros(len(measures))
-        for tag, idx, exponent in combine:
-            if tag == "sup":
-                total += sups[idx].values()
+        total = np.zeros(measures.size)
+        for piece, exponent in pieces:
+            if math.isinf(exponent):
+                total += piece.values()
             else:
-                total += (linear[idx].values() / measures) ** (1.0 / exponent)
+                total += (piece.values() / measures) ** (1.0 / exponent)
         return total
 
     def remove(cells: np.ndarray) -> None:
-        for piece in linear:
+        for piece, _ in pieces:
             piece.remove(cells)
-        for piece in sups:
-            piece.advance()
 
     return sizes, remove
 
@@ -323,31 +288,34 @@ def _lex_pick(vals: np.ndarray, scales: np.ndarray, offsets: np.ndarray, live: n
     return int(np.lexsort((-idx, -offsets, scales, cand))[-1])
 
 
-def _greedy(field, dictionary, spec: SizeSpec, stop_below) -> CoverSelection:
+def _greedy(dictionary, sizes, remove, alive, live, stop_below: float) -> CoverSelection:
+    """Repeatedly remove the live element of largest size until sizes fall.
+
+    ``sizes()`` gives the current size of every element and ``remove(cells)``
+    updates them once the flat ``cells`` of a pick have left the field; both
+    may read ``alive`` (uncovered cells) and ``live`` (unpicked elements),
+    which this loop clears before calling ``remove``.
+    """
     elements = _elements(dictionary)
     measures = _measures(dictionary)
-    scales = np.array([e.s for e in elements])
     offsets = np.array([abs(e.x) for e in elements])
-    n_cells = int(np.prod(field.grid.shape))
-    alive = np.ones(n_cells, dtype=bool)
-    sizes_fn, remove_fn = _spec_state(field, dictionary, spec, alive)
-    live = np.ones(len(elements), dtype=bool)
-    order, sizes, costs = [], [], []
+    flat = dictionary.masks.reshape(len(elements), -1)
+    order, picked, costs = [], [], []
     total = 0.0
     while live.any():
-        vals = sizes_fn()
-        best = _lex_pick(vals, scales, offsets, live)
+        vals = sizes()
+        best = _lex_pick(vals, measures, offsets, live)
         if vals[best] <= stop_below or vals[best] == 0.0:
             break
         order.append(best)
-        sizes.append(float(vals[best]))
+        picked.append(float(vals[best]))
         total += float(measures[best])
         costs.append(total)
-        cells = np.flatnonzero(dictionary.masks[best].ravel() & alive)
+        cells = np.flatnonzero(flat[best] & alive)
         alive[cells] = False
-        remove_fn(cells)
         live[best] = False
-    return CoverSelection(tuple(order), tuple(sizes), tuple(costs))
+        remove(cells)
+    return CoverSelection(tuple(order), tuple(picked), tuple(costs))
 
 
 def greedy_cover_profile(
@@ -363,7 +331,10 @@ def greedy_cover_profile(
     the origin.  The recorded sizes are nonincreasing, so the super-level
     measure at any level is a prefix cost.
     """
-    return _greedy(field, dictionary, spec, stop_below)
+    alive = np.ones(int(np.prod(field.grid.shape)), dtype=bool)
+    sizes, remove = _spec_state(field, dictionary, spec, alive)
+    live = np.ones(len(dictionary), dtype=bool)
+    return _greedy(dictionary, sizes, remove, alive, live, stop_below)
 
 
 def super_level_measure(selection: CoverSelection, level: float) -> float:
@@ -421,44 +392,29 @@ def iterated_quasinorm(
     """
     if not (p > 0.0 and q > 0.0):
         raise ConfigurationError(f"exponents must be positive, got p={p}, q={q}")
-    strips = strip_dictionary.strips
     measures = _measures(strip_dictionary)
-    scales = np.array([e.s for e in strips])
-    offsets = np.array([abs(e.x) for e in strips])
-    stack = _stacked_masks(strip_dictionary, "full")
+    stack = strip_dictionary.masks.reshape(measures.size, -1)
     alive = np.ones(stack.shape[1], dtype=bool)
+    live = np.ones(measures.size, dtype=bool)
 
     def strip_value(i: int) -> float:
         keep = (stack[i] & alive).reshape(field.grid.shape)
         inner = outer_lp_quasinorm(field.restrict(keep), tree_dictionary, spec, q)
         return inner if math.isinf(q) else float(measures[i] ** (-1.0 / q) * inner)
 
-    vals = np.array([strip_value(i) for i in range(len(strips))])
+    vals = np.array([strip_value(i) for i in range(measures.size)])
+
+    def remove(cells: np.ndarray) -> None:
+        # only live strips overlapping the removed cells see a different residual
+        for i in np.flatnonzero(live & stack[:, cells].any(axis=1)):
+            vals[i] = strip_value(i)
+
     top = float(vals.max())
     if math.isinf(p):
         return top
     if top <= 0.0:
         return 0.0
-    stop_below = top / _LEVEL_SPAN
-    live = np.ones(len(strips), dtype=bool)
-    order, sizes, costs = [], [], []
-    total = 0.0
-    while live.any():
-        best = _lex_pick(vals, scales, offsets, live)
-        if vals[best] <= stop_below or vals[best] == 0.0:
-            break
-        order.append(best)
-        sizes.append(float(vals[best]))
-        total += float(measures[best])
-        costs.append(total)
-        cells = stack[best] & alive
-        alive[cells] = False
-        live[best] = False
-        # only strips overlapping the removed cells see a different residual
-        touched = live & (stack[:, cells].any(axis=1))
-        for i in np.flatnonzero(touched):
-            vals[i] = strip_value(i)
-    selection = CoverSelection(tuple(order), tuple(sizes), tuple(costs))
+    selection = _greedy(strip_dictionary, lambda: vals, remove, alive, live, top / _LEVEL_SPAN)
     return _quasinorm_from_profile(top, selection, p)
 
 
@@ -468,14 +424,6 @@ def pairing_integral(field_a: OuterField, field_b: OuterField) -> float:
         raise ValueError("fields must share grid and coordinate dimension")
     inner = duality_pairing(field_a.values, field_b.values)
     return float((field_a.grid.cell_weights() * np.abs(inner)).sum())
-
-
-def _dual_exponent(p: float) -> float:
-    if math.isinf(p):
-        return 1.0
-    if p == 1.0:
-        return math.inf
-    return p / (p - 1.0)
 
 
 def size_holder_check(
@@ -504,7 +452,7 @@ def size_holder_check(
     spec_b = SizeSpec("fstar")
     if kind == "full":
         lhs = outer_lp_quasinorm(field_a, tree_dictionary, spec_a, p)
-        rhs = outer_lp_quasinorm(field_b, tree_dictionary, spec_b, _dual_exponent(p))
+        rhs = outer_lp_quasinorm(field_b, tree_dictionary, spec_b, dual_exponent(p))
     elif kind == "lebesgue":
         if strip_dictionary is None:
             raise ConfigurationError("lebesgue check needs a strip dictionary")
@@ -516,8 +464,8 @@ def size_holder_check(
             tree_dictionary,
             strip_dictionary,
             spec_b,
-            _dual_exponent(p),
-            _dual_exponent(q),
+            dual_exponent(p),
+            dual_exponent(q),
         )
     else:
         raise ConfigurationError(f"unknown check kind {kind!r}")

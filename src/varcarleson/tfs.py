@@ -11,7 +11,9 @@ only the translation-scale constraint |y - x_D| < s_D - t.  Discretized
 fields live on a product grid (uniform eta, uniform y, geometric t); the
 reference measure deta dy dt gets node weights d_eta * d_y * (t * log rho),
 and on a tree the model measure dtheta dzeta dsigma/sigma pulls back to
-(deta dy dt)/s_T.
+(deta dy dt)/s_T.  A dictionary holds its elements' node masks as one boolean
+incidence per region, stacked (n_elements, n_eta, n_y, n_t); the membership
+functions are its one-element case.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ __all__ = [
     "measure_mu",
     "measure_nu",
     "pullback",
-    "field_write",
-    "field_read",
 ]
 
 
@@ -209,41 +209,66 @@ def coord_inverse(top: tuple, eta, y, t) -> tuple:
     return (t * (eta - xi), (y - x) / s, t / s)
 
 
-def _model_coords(grid: TFSGrid, tree: Tree) -> tuple:
-    theta = grid.t[None, :] * (grid.eta[:, None] - tree.xi)  # (n_eta, n_t)
-    zeta = (grid.y - tree.x) / tree.s  # (n_y,)
-    sigma = grid.t / tree.s  # (n_t,)
-    return theta, zeta, sigma
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr = np.ascontiguousarray(arr)
+    arr.flags.writeable = False
+    return arr
 
 
-def tree_membership(grid: TFSGrid, tree: Tree, region: str = "full") -> np.ndarray:
-    """Boolean node mask for the tree, its in-part, or its out-part.
+def _angular(grid: TFSGrid, trees, window: str) -> np.ndarray:
+    """theta strictly inside each tree's ``window`` ("theta" or "theta_in"), (n, n_eta, n_t)."""
+    xi = np.array([tree.xi for tree in trees], dtype=float)
+    lo, hi = np.array([getattr(tree, window) for tree in trees], dtype=float).reshape(-1, 2).T
+    theta = grid.t[None, None, :] * (grid.eta[None, :, None] - xi[:, None, None])
+    return (theta > lo[:, None, None]) & (theta < hi[:, None, None])
+
+
+def _tree_incidence(grid: TFSGrid, trees, region: str = "full") -> np.ndarray:
+    """Node masks of many trees at once, one row per tree: (n_trees, n_eta, n_y, n_t).
 
     Membership uses open conditions: theta strictly inside the window and
     |zeta| < 1 - sigma (so a node at the top scale, sigma = 1, is excluded).
     The in/out parts partition the tree by theta in Theta_in or not.
     """
-    theta, zeta, sigma = _model_coords(grid, tree)
-    lo, hi = tree.theta
-    ang = (theta > lo) & (theta < hi)  # (n_eta, n_t)
-    spatial = np.abs(zeta)[None, :, None] < (1.0 - sigma)[None, None, :]  # (1, n_y, n_t)
-    full = ang[:, None, :] & spatial
+    x = np.array([tree.x for tree in trees], dtype=float)
+    s = np.array([tree.s for tree in trees], dtype=float)
+    zeta = (grid.y[None, :] - x[:, None]) / s[:, None]  # (n, n_y)
+    sigma = grid.t[None, :] / s[:, None]  # (n, n_t)
+    spatial = np.abs(zeta)[:, :, None] < (1.0 - sigma)[:, None, :]  # (n, n_y, n_t)
+    full = _angular(grid, trees, "theta")[:, :, None, :] & spatial[:, None, :, :]
     if region == "full":
         return full
-    lo_in, hi_in = tree.theta_in
-    inner = (theta > lo_in) & (theta < hi_in)
-    if region == "in":
-        return full & inner[:, None, :]
-    if region == "out":
-        return full & ~inner[:, None, :]
-    raise ValueError(f"region must be 'full', 'in', or 'out', got {region!r}")
+    return _split(grid, trees, full, region)
+
+
+def _split(grid: TFSGrid, trees, full: np.ndarray, region: str) -> np.ndarray:
+    if region not in ("in", "out"):
+        raise ValueError(f"region must be 'full', 'in', or 'out', got {region!r}")
+    inner = _angular(grid, trees, "theta_in")[:, :, None, :]
+    return full & inner if region == "in" else full & ~inner
+
+
+def _strip_incidence(grid: TFSGrid, strips) -> np.ndarray:
+    """Node masks |y - x_D| < s_D - t of many strips, shape (n_strips, n_eta, n_y, n_t)."""
+    x = np.array([strip.x for strip in strips], dtype=float)
+    gap = np.array([strip.s for strip in strips], dtype=float)[:, None] - grid.t[None, :]
+    mask = np.abs(grid.y[None, :] - x[:, None])[:, None, :, None] < gap[:, None, None, :]
+    return np.broadcast_to(mask, (len(strips),) + grid.shape)
+
+
+def tree_membership(grid: TFSGrid, tree: Tree, region: str = "full") -> np.ndarray:
+    """Boolean node mask for the tree, its in-part, or its out-part.
+
+    The one-tree case of the dictionary incidence: open conditions, theta
+    strictly inside the window and |zeta| < 1 - sigma; in/out split by
+    Theta_in.
+    """
+    return _tree_incidence(grid, (tree,), region)[0]
 
 
 def strip_membership(grid: TFSGrid, strip: Strip) -> np.ndarray:
     """Boolean node mask |y - x_D| < s_D - t (implies t < s_D)."""
-    gap = strip.s - grid.t  # (n_t,)
-    mask = np.abs(grid.y - strip.x)[None, :, None] < gap[None, None, :]
-    return np.broadcast_to(mask, grid.shape)
+    return _strip_incidence(grid, (strip,))[0]
 
 
 def measure_mu(tree: Tree) -> float:
@@ -263,13 +288,45 @@ def _scale_ladder(t_min: float, t_max: float, factor: float, extra: int) -> np.n
     return t_min * factor ** np.arange(1, count + 1)
 
 
+def _covering(elements: list, full: np.ndarray, what: str) -> tuple:
+    """Drop elements without nodes, check that the rest cover the grid."""
+    missing = int((~full.any(axis=0)).sum())
+    if missing:
+        raise ConfigurationError(
+            f"{what} dictionary does not cover the grid ({missing} nodes uncovered); "
+            "reduce the strides or add scales"
+        )
+    keep = full.reshape(len(elements), -1).any(axis=1)
+    return tuple(e for e, k in zip(elements, keep) if k), full[keep]
+
+
+def _stacked(masks, count: int, grid: TFSGrid) -> np.ndarray:
+    stack = np.asarray(masks, dtype=bool)
+    if stack.shape != (count,) + grid.shape:
+        raise ValueError(f"need {count} masks of shape {grid.shape}, got {stack.shape}")
+    return _frozen(stack)
+
+
 @dataclass(frozen=True, eq=False)
 class TreeDictionary:
-    """Trees with tops on the grid across a ladder of scales, plus node masks."""
+    """Trees with tops on the grid across a ladder of scales, plus node masks.
+
+    ``masks`` is the full-tree incidence, one boolean row per tree, shape
+    (n_trees, n_eta, n_y, n_t); the in/out parts are built alongside it and
+    read through :meth:`incidence`.
+    """
 
     grid: TFSGrid
     trees: tuple
-    masks: tuple  # boolean arrays aligned with trees
+    masks: np.ndarray
+
+    def __post_init__(self):
+        full = _stacked(self.masks, len(self.trees), self.grid)
+        object.__setattr__(self, "masks", full)
+        regions = {"full": full}
+        for region in ("in", "out"):
+            regions[region] = _frozen(_split(self.grid, self.trees, full, region))
+        object.__setattr__(self, "_regions", regions)
 
     @classmethod
     def build(
@@ -284,29 +341,20 @@ class TreeDictionary:
         extra_scales: int = 1,
     ) -> "TreeDictionary":
         scales = _scale_ladder(grid.t[0], grid.t[-1], scale_factor, extra_scales)
-        trees = []
-        for s in scales:
-            for xi in grid.eta[::eta_stride]:
-                for x in grid.y[::y_stride]:
-                    trees.append(Tree(float(xi), float(x), float(s), theta, theta_in))
-        masks = []
-        kept = []
-        covered = np.zeros(grid.shape, dtype=bool)
-        for tree in trees:
-            mask = tree_membership(grid, tree, "full")
-            if mask.any():
-                m = np.ascontiguousarray(mask)
-                m.flags.writeable = False
-                kept.append(tree)
-                masks.append(m)
-                covered |= mask
-        if not covered.all():
-            missing = int((~covered).sum())
-            raise ConfigurationError(
-                f"tree dictionary does not cover the grid ({missing} nodes uncovered); "
-                "reduce strides or add scales"
-            )
-        return cls(grid=grid, trees=tuple(kept), masks=tuple(masks))
+        trees = [
+            Tree(float(xi), float(x), float(s), theta, theta_in)
+            for s in scales
+            for xi in grid.eta[::eta_stride]
+            for x in grid.y[::y_stride]
+        ]
+        kept, masks = _covering(trees, _tree_incidence(grid, trees), "tree")
+        return cls(grid=grid, trees=kept, masks=masks)
+
+    def incidence(self, region: str = "full") -> np.ndarray:
+        """Stacked node masks of every tree's full, in, or out part."""
+        if region not in self._regions:
+            raise ValueError(f"region must be 'full', 'in', or 'out', got {region!r}")
+        return self._regions[region]
 
     def __len__(self) -> int:
         return len(self.trees)
@@ -314,11 +362,17 @@ class TreeDictionary:
 
 @dataclass(frozen=True, eq=False)
 class StripDictionary:
-    """Strips with tops on the y grid across a ladder of scales, plus masks."""
+    """Strips with tops on the y grid across a ladder of scales, plus masks.
+
+    ``masks`` is the strip incidence, shape (n_strips, n_eta, n_y, n_t).
+    """
 
     grid: TFSGrid
     strips: tuple
-    masks: tuple
+    masks: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "masks", _stacked(self.masks, len(self.strips), self.grid))
 
     @classmethod
     def build(
@@ -331,24 +385,14 @@ class StripDictionary:
     ) -> "StripDictionary":
         scales = _scale_ladder(grid.t[0], grid.t[-1], scale_factor, extra_scales)
         strips = [Strip(float(x), float(s)) for s in scales for x in grid.y[::y_stride]]
-        masks = []
-        kept = []
-        covered = np.zeros(grid.shape, dtype=bool)
-        for strip in strips:
-            mask = strip_membership(grid, strip)
-            if mask.any():
-                m = np.ascontiguousarray(mask)
-                m.flags.writeable = False
-                kept.append(strip)
-                masks.append(m)
-                covered |= mask
-        if not covered.all():
-            missing = int((~covered).sum())
-            raise ConfigurationError(
-                f"strip dictionary does not cover the grid ({missing} nodes uncovered); "
-                "reduce the stride or add scales"
-            )
-        return cls(grid=grid, strips=tuple(kept), masks=tuple(masks))
+        kept, masks = _covering(strips, _strip_incidence(grid, strips), "strip")
+        return cls(grid=grid, strips=kept, masks=masks)
+
+    def incidence(self, region: str = "full") -> np.ndarray:
+        """Stacked node masks of every strip; strips have no in/out split."""
+        if region != "full":
+            raise ValueError("strips have no in/out split")
+        return self.masks
 
     def __len__(self) -> int:
         return len(self.strips)
@@ -390,24 +434,3 @@ def pullback(
     inside = (th >= lo) & (th <= hi) & (np.abs(ze) <= 1.0 - si) & (si <= 1.0)
     phase = np.exp(-2j * np.pi * tree.xi * (tree.x + tree.s * ze))
     return np.where(inside[..., None], vals * phase[..., None], 0.0)
-
-
-def field_write(field: OuterField, path) -> None:
-    """Binary dump (npz): grid axes, values, and the space parameters."""
-    np.savez(
-        path,
-        eta=field.grid.eta,
-        y=field.grid.y,
-        t=field.grid.t,
-        values=field.values,
-        dim=np.array([field.space.dim]),
-        exponent=np.array([field.space.exponent]),
-    )
-
-
-def field_read(path) -> OuterField:
-    """Inverse of :func:`field_write`."""
-    with np.load(path) as data:
-        grid = TFSGrid(data["eta"], data["y"], data["t"])
-        space = NormedSpace(int(data["dim"][0]), float(data["exponent"][0]))
-        return OuterField(grid, data["values"], space)

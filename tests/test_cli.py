@@ -242,6 +242,12 @@ def test_main_maps_failures_to_exit_codes(tmp_path):
     assert main(["--help"]) == EXIT_OK
 
 
+def test_unknown_config_key_is_rejected(tmp_path, capsys):
+    path = write_config(tmp_path, {"sweep": {"corpsu": 2}}, "typo.json")
+    assert main(["sweep", "--preset", "tiny", "--config", path]) == EXIT_CONFIG
+    assert "sweep.corpsu" in capsys.readouterr().err
+
+
 def test_verify_tolerance_failure_exits_one(tmp_path):
     # an impossible residual bound turns the reconstruction check red
     path = write_config(tmp_path, {"reconstruction": {"sup_max": 1e-12}})

@@ -12,6 +12,7 @@ from varcarleson.core import (
     SampledSignal,
     SequenceSignal,
     SignalParseError,
+    dual_exponent,
     duality_pairing,
     make_signal,
     norm_eval,
@@ -73,6 +74,11 @@ def test_dual_exponents():
     assert NormedSpace(1, 2.0).dual_exponent == pytest.approx(2.0)
     assert NormedSpace(1, 1.5).dual_exponent == pytest.approx(3.0)
     assert NormedSpace(1, 4.0).dual_exponent == pytest.approx(4.0 / 3.0)
+    # exponents below 1 (admissibility reaches r/(r0-1) = 0.75) have dual inf
+    assert dual_exponent(0.75) == math.inf
+    assert dual_exponent(1.0) == math.inf
+    assert dual_exponent(math.inf) == 1.0
+    assert dual_exponent(1.5) == NormedSpace(1, 1.5).dual_exponent
 
 
 def test_pairing_is_sesquilinear_sum():

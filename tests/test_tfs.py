@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from varcarleson import cli
 from varcarleson.core import ConfigurationError, NormedSpace
+from varcarleson.embedding import domination_dictionaries, dump_field, load_field, theta_windows
 from varcarleson.tfs import (
     OuterField,
     Strip,
@@ -11,8 +13,6 @@ from varcarleson.tfs import (
     TreeDictionary,
     coord_forward,
     coord_inverse,
-    field_read,
-    field_write,
     measure_mu,
     measure_nu,
     pullback,
@@ -160,11 +160,44 @@ def test_dictionary_coverage():
         union |= mask
     assert union.all()
     assert len(td) == len(td.trees) == len(td.masks)
+    with pytest.raises(ValueError):
+        TreeDictionary(grid=grid, trees=td.trees[:2], masks=td.masks[:3])
     sd = StripDictionary.build(grid, y_stride=2)
     union = np.zeros(grid.shape, dtype=bool)
     for mask in sd.masks:
         union |= mask
     assert union.all()
+
+
+@pytest.mark.parametrize("section", ["holder", "domination"])
+def test_incidence_rows_are_memberships(section):
+    # the stacked incidence of the ref dictionaries, row by row and region by
+    # region, is the one-element membership rule
+    settings = cli.PRESETS["ref"]
+    sec = settings[section]
+    table = cli._table_from(settings)
+    grid = cli._grid_from(sec["grid"])
+    strides = {"eta_stride": int(sec["eta_stride"]), "y_stride": int(sec["y_stride"])}
+    if section == "holder":
+        dictionaries = [TreeDictionary.build(grid, *theta_windows(table, +1), **strides)]
+        strips = StripDictionary.build(grid, y_stride=int(sec["strip_stride"]))
+        assert strips.masks.shape == (len(strips),) + grid.shape
+        for strip, row in zip(strips.strips, strips.incidence("full")):
+            assert np.array_equal(row, strip_membership(grid, strip))
+        with pytest.raises(ValueError):
+            strips.incidence("in")
+    else:
+        dictionaries = list(domination_dictionaries(grid, table, **strides).values())
+    for trees in dictionaries:
+        assert trees.incidence("full") is trees.masks
+        for region in ("full", "in", "out"):
+            stack = trees.incidence(region)
+            assert stack.shape == (len(trees),) + grid.shape
+            assert not stack.flags.writeable
+            for tree, row in zip(trees.trees, stack):
+                assert np.array_equal(row, tree_membership(grid, tree, region))
+        with pytest.raises(ValueError):
+            trees.incidence("inner")
 
 
 def test_dictionary_coverage_failure_raises():
@@ -233,9 +266,9 @@ def test_field_io_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     vals = rng.normal(size=grid.shape + (3,)) + 1j * rng.normal(size=grid.shape + (3,))
     field = OuterField(grid, vals, space)
-    path = tmp_path / "field.npz"
-    field_write(field, path)
-    loaded = field_read(path)
+    path = tmp_path / "field.vcf"
+    dump_field(field, path)
+    loaded = load_field(path)
     assert np.array_equal(loaded.values, field.values)
     assert np.array_equal(loaded.grid.eta, grid.eta)
     assert np.array_equal(loaded.grid.t, grid.t)
