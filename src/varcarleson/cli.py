@@ -53,6 +53,7 @@ from .core import (
     FrequencySelection,
     NormedSpace,
     SequenceSignal,
+    _freq_grid,
     dual_exponent,
     make_signal,
     norm_eval,
@@ -107,7 +108,7 @@ PRESETS: dict = {
         "seed": 0,
         "space": {"dim": 2, "exponent": 2.0},
         "table": {"b": 0.125, "eps": 1.0 / 128.0},
-        "embed": {"N": 8, "rprime": 2.0, "phi_kind": "flattop"},
+        "embed": {"N": 8, "rprime": 2.0},
         "exponents": {"p": 2.0, "q": 2.0, "r": 2.5, "r0": 2.0},
         "sweep": {
             "p_values": [1.5, 2.0],
@@ -117,7 +118,7 @@ PRESETS: dict = {
             "levels": 4,
             # spectral mass must reach most of the cutoff range, or draws
             # straddle the whole band and every quotient collapses to 1
-            "signal": {"kind": "bandlimited-random", "band": 3.2, "n": 128, "dx": 0.125},
+            "signal": {"band": 3.2, "n": 128, "dx": 0.125},
         },
         "reconstruction": {
             "interval": [-0.5, 1.5],
@@ -146,7 +147,7 @@ PRESETS: dict = {
             "pairs": 6,
             "p": 2.0,
             "q": 2.0,
-            "signal": {"kind": "bandlimited-random", "band": 0.9, "n": 128, "dx": 0.125},
+            "signal": {"band": 0.9, "n": 128, "dx": 0.125},
         },
         "domination": {
             "grid": {"eta": [-2.0, 2.0, 17], "y": [-4.0, 4.0, 17], "t": [0.4, 0.8, _SQRT2]},
@@ -156,7 +157,7 @@ PRESETS: dict = {
             "cut_lo": [-2.25, -2.0],
             "gap": [3.5, 4.5],
             "max_excluded": 3,
-            "signal": {"kind": "bandlimited-random", "band": 0.9, "n": 128, "dx": 0.0625},
+            "signal": {"band": 0.9, "n": 128, "dx": 0.0625},
         },
         "ptnm": {
             "dim": 4,
@@ -164,7 +165,7 @@ PRESETS: dict = {
             "candidates": 16,
             "s_values": [1.5, 2.5, 4.0],
             "tol": 1e-10,
-            "signal": {"kind": "bandlimited-random", "band": 0.9, "n": 64, "dx": 0.25},
+            "signal": {"band": 0.9, "n": 64, "dx": 0.25},
         },
         "converge": {
             "points": 12,
@@ -178,7 +179,7 @@ PRESETS: dict = {
             "interval": [-2.5, 2.5],
             "sign": 1,
             "grid": {"eta": [-2.0, 2.0, 9], "y": [-8.0, 8.0, 9], "t": [0.4, 1.6, 2.0]},
-            "signal": {"kind": "bandlimited-random", "band": 0.9, "n": 256, "dx": 0.0625},
+            "signal": {"band": 0.9, "n": 256, "dx": 0.0625},
         },
     },
 }
@@ -293,16 +294,22 @@ class ExperimentConfig:
 
 
 def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
-    """Override values of ``base``; a key that ``base`` lacks is a typo."""
+    """Override values of ``base``; a key that ``base`` lacks is a typo.
+
+    An override keeps the preset value's JSON type, except that an integer
+    may fill a number slot.
+    """
     out = dict(base)
     for key, value in override.items():
         name = f"{path}{key}"
         if key not in out:
             raise ConfigurationError(f"unknown config key {name!r}")
-        if isinstance(value, dict) and isinstance(out[key], dict):
-            out[key] = _deep_merge(out[key], value, name + ".")
-        else:
-            out[key] = value
+        slot = type(out[key])
+        if type(value) is not slot and not (slot is float and type(value) is int):
+            raise ConfigurationError(
+                f"config key {name!r} must be of type {slot.__name__}, got {json.dumps(value)}"
+            )
+        out[key] = _deep_merge(out[key], value, name + ".") if type(value) is dict else value
     return out
 
 
@@ -324,10 +331,6 @@ def resolve_config(
         settings = _deep_merge(settings, override)
     if seed is not None:
         settings["seed"] = seed
-    if settings.get("embed", {}).get("phi_kind", "flattop") != "flattop":
-        raise ConfigurationError(
-            f"unknown analyzing profile {settings['embed']['phi_kind']!r}; only 'flattop' ships"
-        )
     space = NormedSpace(int(settings["space"]["dim"]), float(settings["space"]["exponent"]))
     return ExperimentConfig(
         experiment=experiment,
@@ -382,7 +385,7 @@ def _band_signal(sec: dict, space: NormedSpace, seed: int):
 
 def _grid_selection(rng: np.random.Generator, signal, count: int) -> FrequencySelection:
     """Strictly increasing cutoffs drawn uniformly from the frequency grid."""
-    freqs = np.fft.fftshift(np.fft.fftfreq(signal.n, d=signal.dx))
+    freqs = _freq_grid(signal.n, signal.dx)
     if count > freqs.size:
         raise ConfigurationError(f"cannot draw {count} distinct levels from {freqs.size}")
     idx = np.sort(rng.choice(freqs.size, size=count, replace=False))

@@ -28,7 +28,7 @@ from .core import (
     _idft_values,
     norm_eval,
 )
-from .variation import _check_r
+from .variation import _batched_variation, _check_r
 
 __all__ = [
     "Spectrum",
@@ -130,17 +130,14 @@ def partial_fourier(signal: SampledSignal, xi: float) -> SampledSignal:
     xi = float(xi)
     if math.isnan(xi):
         raise ValueError("cutoff must not be NaN")
-    spec = dft(signal)
-    nyq = spec.nyquist
+    nyq = 0.5 / signal.dx
     if abs(xi) > nyq:
         warnings.warn(
             f"cutoff {xi} is outside the represented band [{-nyq}, {nyq}]; clamping",
             stacklevel=2,
         )
         xi = min(max(xi, -nyq), nyq)
-    w = _cutoff_weights(spec.frequencies, np.array([xi]))[0]
-    values = _idft_values(w[:, None] * spec.coefficients, signal.x0, signal.dx)
-    return signal.with_values(values)
+    return signal.with_values(carleson_path(signal, [xi])[:, 0, :])
 
 
 def _default_grid(spec: Spectrum) -> np.ndarray:
@@ -171,18 +168,6 @@ def carleson_max(signal: SampledSignal, xi_grid: np.ndarray | None = None) -> np
     return norm_eval(path, signal.space).max(axis=1)
 
 
-def _batched_variation(path_vals: np.ndarray, space: NormedSpace, r: float) -> np.ndarray:
-    """r-variation of (m, K, d) paths along axis 1; same DP as variation_norm."""
-    m, steps, _ = path_vals.shape
-    if steps < 2:
-        return np.zeros(m)
-    best = np.zeros((m, steps))
-    for j in range(1, steps):
-        inc = norm_eval(path_vals[:, :j, :] - path_vals[:, j : j + 1, :], space) ** r
-        best[:, j] = (best[:, :j] + inc).max(axis=1)
-    return best.max(axis=1) ** (1.0 / r)
-
-
 def variational_carleson(
     signal: SampledSignal, r: float, xi_grid: np.ndarray | None = None
 ) -> np.ndarray:
@@ -202,11 +187,9 @@ def pointwise_variational(
     """
     r = _check_r(r)
     path = carleson_path(signal, xi_grid)
-    scalar = NormedSpace(1, 2.0)
-    out = np.empty((signal.n, signal.dim))
-    for w in range(signal.dim):
-        out[:, w] = _batched_variation(path[:, :, w : w + 1], scalar, r)
-    return out
+    n, steps, dim = path.shape
+    scalar = np.moveaxis(path, 2, 1).reshape(n * dim, steps, 1)
+    return _batched_variation(scalar, NormedSpace(1, 2.0), r).reshape(n, dim)
 
 
 def _rowwise_partial(signal: SampledSignal, cutoffs: np.ndarray) -> np.ndarray:

@@ -109,6 +109,11 @@ def _terms(field: OuterField, norms: np.ndarray, spec: SizeSpec) -> list:
     return [energy] + extra[spec.kind]
 
 
+def _region_max(mat: np.ndarray, density: np.ndarray) -> np.ndarray:
+    """Largest density over each row's cells; 0 for a row with no cell."""
+    return np.where(mat, density[None, :], 0.0).max(axis=1)
+
+
 def _sizes_over(field: OuterField, dictionary, spec: SizeSpec) -> np.ndarray:
     """Local sizes of every dictionary element, one pass over each term's incidence."""
     measures = _measures(dictionary)
@@ -116,7 +121,7 @@ def _sizes_over(field: OuterField, dictionary, spec: SizeSpec) -> np.ndarray:
     for region, exponent, density in _terms(field, field.norms().ravel(), spec):
         mat = dictionary.incidence(region).reshape(measures.size, -1)
         if math.isinf(exponent):
-            parts.append(np.where(mat, density[None, :], 0.0).max(axis=1))
+            parts.append(_region_max(mat, density))
         else:
             parts.append((np.maximum(mat @ density, 0.0) / measures) ** (1.0 / exponent))
     return sum(parts[1:], parts[0])
@@ -215,62 +220,26 @@ class _LinearPiece:
         return out
 
 
-class _SupPiece:
-    """Per-element running max over alive cells, via descending sorted lists."""
-
-    def __init__(self, stack: np.ndarray, support: np.ndarray, values: np.ndarray, alive):
-        n_el = stack.shape[0]
-        rows, cols = np.nonzero(stack[:, support])
-        cells = support[cols]
-        vals = values[cells]
-        order = np.lexsort((-vals, rows))
-        self.cells = cells[order]
-        self.vals = vals[order]
-        counts = np.bincount(rows, minlength=n_el)
-        self.indptr = np.concatenate([[0], np.cumsum(counts)])
-        self.ptr = self.indptr[:-1].astype(np.int64)
-        self.alive = alive
-
-    def remove(self, cells: np.ndarray) -> None:
-        """Skip list heads that left ``alive``; ``cells`` is implied by it."""
-        if self.cells.size == 0:
-            return
-        end = self.indptr[1:]
-        while True:
-            has = self.ptr < end
-            tops = self.cells[np.where(has, self.ptr, 0)]
-            dead = has & ~self.alive[tops]
-            if not dead.any():
-                return
-            self.ptr[dead] += 1
-
-    def values(self) -> np.ndarray:
-        has = self.ptr < self.indptr[1:]
-        if self.cells.size == 0:
-            return np.zeros(has.shape)
-        return np.where(has, self.vals[np.where(has, self.ptr, 0)], 0.0)
-
-
 def _spec_state(field: OuterField, dictionary, spec: SizeSpec, alive: np.ndarray):
     """Incremental sizes of every element as cells leave ``alive``."""
     norms = field.norms().ravel()
     support = np.flatnonzero(norms > 0.0)
     measures = _measures(dictionary)
-    pieces = []
+    sups, pieces = [], []
     for region, exponent, density in _terms(field, norms, spec):
         stack = dictionary.incidence(region).reshape(measures.size, -1)
         if math.isinf(exponent):
-            pieces.append((_SupPiece(stack, support, density, alive), exponent))
+            sups.append((stack, density))
         else:
             pieces.append((_LinearPiece(stack, support, density), exponent))
 
     def sizes() -> np.ndarray:
+        # a sup term is never listed before a sum term, so this is term order
         total = np.zeros(measures.size)
         for piece, exponent in pieces:
-            if math.isinf(exponent):
-                total += piece.values()
-            else:
-                total += (piece.values() / measures) ** (1.0 / exponent)
+            total += (piece.values() / measures) ** (1.0 / exponent)
+        for stack, density in sups:
+            total += _region_max(stack, np.where(alive, density, 0.0))
         return total
 
     def remove(cells: np.ndarray) -> None:

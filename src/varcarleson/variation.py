@@ -60,23 +60,27 @@ def _increment_norms(path: Path) -> np.ndarray:
     return norm_eval(pts[None, :, :] - pts[:, None, :], path.space)
 
 
-def variation_norm(path: Path, r: float) -> float:
-    """Exact r-variation via the longest-weighted-chain dynamic program.
+def _batched_variation(path_vals: np.ndarray, space: NormedSpace, r: float) -> np.ndarray:
+    """r-variation of (m, K, d) paths along axis 1; one DP for every path.
 
-    ``best[j]`` is the largest sum of r-th powers of increment norms over
+    ``best[:, j]`` is the largest sum of r-th powers of increment norms over
     subsequences ending at index j; each step appends j to the best
-    predecessor (ties resolve to the smallest predecessor index, which does
-    not change the value).
+    predecessor.
     """
+    m, steps, _ = path_vals.shape
+    if steps < 2:
+        return np.zeros(m)
+    best = np.zeros((m, steps))
+    for j in range(1, steps):
+        inc = norm_eval(path_vals[:, :j, :] - path_vals[:, j : j + 1, :], space) ** r
+        best[:, j] = (best[:, :j] + inc).max(axis=1)
+    return best.max(axis=1) ** (1.0 / r)
+
+
+def variation_norm(path: Path, r: float) -> float:
+    """Exact r-variation via the longest-weighted-chain dynamic program."""
     r = _check_r(r)
-    k = len(path)
-    if k < 2:
-        return 0.0
-    dist = _increment_norms(path) ** r
-    best = np.zeros(k)
-    for j in range(1, k):
-        best[j] = (best[:j] + dist[:j, j]).max()
-    return float(best.max() ** (1.0 / r))
+    return float(_batched_variation(path.points[None], path.space, r)[0])
 
 
 def variation_norm_bruteforce(path: Path, r: float) -> float:

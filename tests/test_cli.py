@@ -34,7 +34,7 @@ SMALL_SWEEP = {
         "r0_values": [2.0],
         "corpus": 3,
         "levels": 3,
-        "signal": {"kind": "bandlimited-random", "band": 1.6, "n": 64, "dx": 0.25},
+        "signal": {"band": 1.6, "n": 64, "dx": 0.25},
     }
 }
 
@@ -246,6 +246,17 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     path = write_config(tmp_path, {"sweep": {"corpsu": 2}}, "typo.json")
     assert main(["sweep", "--preset", "tiny", "--config", path]) == EXIT_CONFIG
     assert "sweep.corpsu" in capsys.readouterr().err
+    # the signal generator is fixed, so there is no kind to choose
+    path = write_config(tmp_path, {"sweep": {"signal": {"kind": "gaussian"}}}, "kind.json")
+    assert main(["sweep", "--preset", "tiny", "--config", path]) == EXIT_CONFIG
+    assert "sweep.signal.kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [True, None], ids=["true", "null"])
+def test_config_value_of_wrong_type_is_rejected(tmp_path, capsys, value):
+    path = write_config(tmp_path, {"sweep": {"corpus": value}}, "typed.json")
+    assert main(["sweep", "--preset", "tiny", "--config", path]) == EXIT_CONFIG
+    assert "sweep.corpus" in capsys.readouterr().err
 
 
 def test_verify_tolerance_failure_exits_one(tmp_path):

@@ -171,8 +171,10 @@ def oracle_replay(field, trees, spec, order):
         # in the last bits and the engine takes the top the tie rule ranks second
         (SizeSpec("f"), {6: (262, 261), 9: (271, 270), 10: (346, 347)}),
         (SizeSpec("fstar"), {}),
+        (SizeSpec("lp", math.inf, "full"), {}),
+        (SizeSpec("lp", math.inf, "in"), {}),
     ],
-    ids=["lp2", "f", "fstar"],
+    ids=["lp2", "f", "fstar", "sup_full", "sup_in"],
 )
 def test_greedy_matches_recomputing_oracle(setting, spec, flips):
     grid, field, trees, _ = setting
@@ -183,6 +185,8 @@ def test_greedy_matches_recomputing_oracle(setting, spec, flips):
     # first values, so late, small sizes are compared relative to the top
     tol = 1e-12 * top
     assert np.allclose(profile.sizes, replayed, rtol=0.0, atol=tol)
+    if spec.exponent == math.inf:  # a max has no rounding
+        assert list(profile.sizes) == replayed
     assert rest <= top / 1e3  # the engine stops where the oracle would
     differ = {k: (best, pick) for k, ((best, _), pick) in enumerate(zip(own, profile.order))
               if best != pick}
