@@ -2,11 +2,11 @@
 
 Modules
 -------
-core        coordinate spaces, sampled signals, generators, file IO
+core        coordinate spaces, sampled signals, signal generators
 variation   r-variation seminorms of finite paths
-fourier     partial Fourier integrals and maximal / variational operators
+fourier     partial Fourier integrals and variational operators
 wavepacket  smooth bumps, the two-sided multiplier, truncated wave packets
-tfs         time-frequency-scale geometry: trees, strips, fields, pullbacks
+tfs         time-frequency-scale geometry: grids, trees, strips, fields
 outersize   local sizes, outer sizes, super-level covers, outer quasinorms
 embedding   wave-packet embedding maps and their comparison checks
 cli         the ``vc`` command line driver
@@ -18,14 +18,11 @@ from .core import (
     NormedSpace,
     SampledSignal,
     SequenceSignal,
-    SignalParseError,
     duality_pairing,
     make_signal,
     norm_eval,
-    signal_read,
-    signal_write,
 )
-from .variation import Path, linf_norm, variation_norm, variation_norm_bruteforce
+from .variation import Path, variation_norm, variation_norm_bruteforce
 
 __version__ = "0.1.0"
 
@@ -36,13 +33,9 @@ __all__ = [
     "Path",
     "SampledSignal",
     "SequenceSignal",
-    "SignalParseError",
     "duality_pairing",
-    "linf_norm",
     "make_signal",
     "norm_eval",
-    "signal_read",
-    "signal_write",
     "variation_norm",
     "variation_norm_bruteforce",
     "__version__",

@@ -313,6 +313,18 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
+# corpus and point counts: a count below 1 would run no check and pass vacuously
+_CORPUS_COUNTS = (
+    "sweep.corpus",
+    "dual.instances",
+    "holder.pairs",
+    "domination.instances",
+    "ptnm.signals",
+    "reconstruction.points",
+    "converge.points",
+)
+
+
 def resolve_config(
     experiment: str,
     preset: str = "ref",
@@ -329,6 +341,12 @@ def resolve_config(
         if not isinstance(override, dict):
             raise ConfigurationError(f"config file {config_path} must hold a JSON object")
         settings = _deep_merge(settings, override)
+    for name in _CORPUS_COUNTS:
+        section, key = name.split(".")
+        if settings[section][key] < 1:
+            raise ConfigurationError(
+                f"config key {name!r} must be at least 1, got {settings[section][key]}"
+            )
     if seed is not None:
         settings["seed"] = seed
     space = NormedSpace(int(settings["space"]["dim"]), float(settings["space"]["exponent"]))

@@ -1,4 +1,4 @@
-"""Coordinate spaces, sampled signals, signal generators, and file IO.
+"""Coordinate spaces, sampled signals, and signal generators.
 
 Vector-valued functions on the line are modeled as uniformly sampled arrays:
 a signal carries its grid (``x0``, ``dx``, ``n`` samples) together with a
@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "ConfigurationError",
-    "SignalParseError",
     "NormedSpace",
     "SampledSignal",
     "SequenceSignal",
@@ -26,22 +25,12 @@ __all__ = [
     "norm_eval",
     "duality_pairing",
     "make_signal",
-    "signal_write",
-    "signal_read",
     "SIGNAL_KINDS",
 ]
 
 
 class ConfigurationError(ValueError):
     """Structurally invalid parameters (maps to CLI exit code 2)."""
-
-
-class SignalParseError(ValueError):
-    """Malformed signal file; carries the 1-based offending line number."""
-
-    def __init__(self, message: str, line_no: int):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 def _as_float(name: str, value) -> float:
@@ -416,99 +405,3 @@ def make_signal(
     if params:
         raise ConfigurationError(f"unused parameters for kind {kind!r}: {sorted(params)}")
     return SampledSignal(x0, dx, values, space)
-
-
-# --- text format -------------------------------------------------------------
-#
-# Header:  "# vcsig v1 n=<int> d=<int> x0=<float> dx=<float> p=<float-or-inf>"
-# then exactly n lines, each holding 2*d floats (re im per coordinate).
-# Floats print via repr(), which round-trips exactly.
-
-
-_HEADER_PREFIX = "# vcsig v1"
-
-
-def _fmt_float(v: float) -> str:
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return repr(float(v))
-
-
-def signal_write(signal: SampledSignal, path) -> None:
-    """Write the one-signal-per-file text format."""
-    parts = [
-        _HEADER_PREFIX,
-        f"n={signal.n}",
-        f"d={signal.dim}",
-        f"x0={_fmt_float(signal.x0)}",
-        f"dx={_fmt_float(signal.dx)}",
-        f"p={_fmt_float(signal.space.exponent)}",
-    ]
-    lines = [" ".join(parts)]
-    for row in signal.values:
-        cells = []
-        for z in row:
-            cells.append(_fmt_float(z.real))
-            cells.append(_fmt_float(z.imag))
-        lines.append(" ".join(cells))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
-
-
-def _parse_header(line: str) -> dict:
-    if not line.startswith(_HEADER_PREFIX):
-        raise SignalParseError(f"expected header starting with {_HEADER_PREFIX!r}", 1)
-    fields = {}
-    for token in line[len(_HEADER_PREFIX):].split():
-        if "=" not in token:
-            raise SignalParseError(f"malformed header token {token!r}", 1)
-        key, _, raw = token.partition("=")
-        fields[key] = raw
-    for key in ("n", "d", "x0", "dx", "p"):
-        if key not in fields:
-            raise SignalParseError(f"header is missing {key}=", 1)
-    try:
-        out = {
-            "n": int(fields["n"]),
-            "d": int(fields["d"]),
-            "x0": float(fields["x0"]),
-            "dx": float(fields["dx"]),
-            "p": float(fields["p"]),
-        }
-    except ValueError as exc:
-        raise SignalParseError(f"bad header value: {exc}", 1) from exc
-    return out
-
-
-def signal_read(path) -> SampledSignal:
-    """Parse the text format written by :func:`signal_write`."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise SignalParseError("empty file", 1)
-    head = _parse_header(lines[0])
-    n, d = head["n"], head["d"]
-    if n < 2 or d < 1:
-        raise SignalParseError(f"need n >= 2 and d >= 1, got n={n} d={d}", 1)
-    body = lines[1:]
-    if len([ln for ln in body if ln.strip()]) != n or len(body) < n:
-        raise SignalParseError(f"expected exactly {n} sample lines, found {len(body)}", 1 + len(body))
-    values = np.empty((n, d), dtype=complex)
-    for i in range(n):
-        line_no = i + 2
-        cells = body[i].split()
-        if len(cells) != 2 * d:
-            raise SignalParseError(f"expected {2 * d} floats, found {len(cells)}", line_no)
-        try:
-            nums = [float(c) for c in cells]
-        except ValueError as exc:
-            raise SignalParseError(f"bad float: {exc}", line_no) from exc
-        if not all(math.isfinite(v) for v in nums):
-            raise SignalParseError("non-finite sample", line_no)
-        values[i] = [complex(nums[2 * k], nums[2 * k + 1]) for k in range(d)]
-    try:
-        space = NormedSpace(d, head["p"])
-        return SampledSignal(head["x0"], head["dx"], values, space)
-    except ConfigurationError as exc:
-        raise SignalParseError(str(exc), 1) from exc

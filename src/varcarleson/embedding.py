@@ -62,21 +62,20 @@ __all__ = [
     "domination_dictionaries",
     "dump_field",
     "load_field",
-    "THETA_PLUS",
     "theta_windows",
 ]
 
 # angular windows for the right-truncation sign; the left sign mirrors them
-THETA_PLUS = (-0.25, 1.125)
+_THETA_PLUS = (-0.25, 1.125)
 
 
 def theta_windows(table: MultiplierTable, sign: int) -> tuple:
     """Per-sign angular window and inner window for tree dictionaries."""
     eps = table.spec.eps
     if sign == +1:
-        return THETA_PLUS, (THETA_PLUS[0], 1.0 - eps)
+        return _THETA_PLUS, (_THETA_PLUS[0], 1.0 - eps)
     if sign == -1:
-        return (-THETA_PLUS[1], -THETA_PLUS[0]), (-(1.0 - eps), -THETA_PLUS[0])
+        return (-_THETA_PLUS[1], -_THETA_PLUS[0]), (-(1.0 - eps), -_THETA_PLUS[0])
     raise ValueError(f"sign must be +1 or -1, got {sign}")
 
 
@@ -174,14 +173,14 @@ def embed_packets(
     *,
     sign: int = +1,
     method: str = "spectral",
-    order: int | None = None,
 ) -> OuterField:
     """Truncated wave-packet embedding of the signal over the grid.
 
     ``method="spectral"`` multiplies the signal spectrum by the packet
     profile at each node.  ``method="direct"`` evaluates the spatial kernel
     by Gauss-Legendre inversion and sums over samples; it is quadratic in
-    the grid sizes and meant for cross-checks on a handful of nodes.
+    the grid sizes and meant for cross-checks on a handful of nodes
+    (oracle: used by tests/verify only).
     """
     _check_scales(grid, signal, table.spec.b)
     if method == "spectral":
@@ -193,13 +192,11 @@ def embed_packets(
         return OuterField(grid, values, signal.space)
     if method != "direct":
         raise ValueError(f"method must be 'spectral' or 'direct', got {method!r}")
-    out = _direct_field(
-        signal.values, signal.grid(), signal.dx, table, interval, grid, sign, order
-    )
+    out = _direct_field(signal.values, signal.grid(), signal.dx, table, interval, grid, sign)
     return OuterField(grid, out, signal.space)
 
 
-def _direct_field(values, x, dx, table, interval, grid, sign, order) -> np.ndarray:
+def _direct_field(values, x, dx, table, interval, grid, sign) -> np.ndarray:
     """Spatial-sum packet field of samples ``values`` at positions ``x``.
 
     Inverts the packet profile by Gauss-Legendre in its spectral ball and
@@ -212,7 +209,7 @@ def _direct_field(values, x, dx, table, interval, grid, sign, order) -> np.ndarr
     for k, t in enumerate(grid.t):
         diff = grid.y[:, None] - x[None, :]  # (n_y, n_x)
         u = diff / t
-        q = order or 64 + int(4.0 * half * np.abs(u).max())
+        q = 64 + int(4.0 * half * np.abs(u).max())
         nodes, weights = leggauss(q)
         zeta = half * nodes
         for i, eta in enumerate(grid.eta):
@@ -233,7 +230,6 @@ def embed_packet_sequence(
     *,
     sign: int = +1,
     method: str = "spectral",
-    order: int | None = None,
 ) -> OuterField:
     """Packet embedding of a signal sequence against a cutoff selection.
 
@@ -264,9 +260,7 @@ def embed_packet_sequence(
             lo, hi = float(levels[0, j]), float(levels[0, j + 1])
             if not hi > lo:
                 continue  # empty interval carries no packets
-            values += embed_packets(
-                entry, table, (lo, hi), grid, sign=sign, method=method, order=order
-            ).values
+            values += embed_packets(entry, table, (lo, hi), grid, sign=sign, method=method).values
             continue
         pairs = levels[:, j : j + 2]
         uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
@@ -276,7 +270,7 @@ def embed_packet_sequence(
                 continue
             cols = np.flatnonzero(inverse == u_idx)
             values += _direct_field(
-                entry.values[cols], x[cols], entry.dx, table, (lo, hi), grid, sign, order
+                entry.values[cols], x[cols], entry.dx, table, (lo, hi), grid, sign
             )
     return OuterField(grid, values, first.space)
 

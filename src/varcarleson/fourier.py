@@ -1,13 +1,13 @@
-"""Partial Fourier integrals and their maximal / variational operators.
+"""Partial Fourier integrals and their variational operators.
 
 The partial Fourier integral of a sampled signal up to cutoff ``xi`` is the
 inverse transform of its DFT coefficients restricted to frequencies below the
 cutoff.  A coefficient sitting exactly at the cutoff contributes half weight
 (symmetric Riemann convention); everything strictly below is fully included.
 The map ``xi -> C_xi f(x)`` is then piecewise constant between neighboring
-DFT frequencies, and the maximal operator, r-variation operator, linearized
-variation increments, and coordinatewise variation are all evaluated over a
-finite cutoff grid.
+DFT frequencies, and the r-variation operator, linearized variation
+increments, and coordinatewise variation are all evaluated over a finite
+cutoff grid.
 """
 
 from __future__ import annotations
@@ -33,10 +33,8 @@ from .variation import _batched_variation, _check_r
 __all__ = [
     "Spectrum",
     "dft",
-    "idft",
     "partial_fourier",
     "carleson_path",
-    "carleson_max",
     "variational_carleson",
     "linearized_vc",
     "pointwise_variational",
@@ -75,16 +73,8 @@ class Spectrum:
             object.__setattr__(self, name, arr)
 
     @property
-    def n(self) -> int:
-        return self.frequencies.size
-
-    @property
     def dxi(self) -> float:
         return float(self.frequencies[1] - self.frequencies[0])
-
-    @property
-    def nyquist(self) -> float:
-        return 0.5 / self.dx
 
 
 def _require_power_of_two(n: int) -> None:
@@ -98,12 +88,6 @@ def dft(signal: SampledSignal) -> Spectrum:
     coeffs = _dft_values(signal.values, signal.x0, signal.dx)
     freqs = _freq_grid(signal.n, signal.dx)
     return Spectrum(freqs, coeffs, signal.x0, signal.dx, signal.space)
-
-
-def idft(spectrum: Spectrum) -> SampledSignal:
-    """Inverse of :func:`dft` on the same grid."""
-    values = _idft_values(spectrum.coefficients, spectrum.x0, spectrum.dx)
-    return SampledSignal(spectrum.x0, spectrum.dx, values, spectrum.space)
 
 
 def _cutoff_weights(freqs: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
@@ -160,12 +144,6 @@ def carleson_path(signal: SampledSignal, xi_grid: np.ndarray | None = None) -> n
         vals = _idft_values(stacked, signal.x0, signal.dx)
         out[:, sel, :] = vals.reshape(signal.n, sel.stop - sel.start, signal.dim)
     return out
-
-
-def carleson_max(signal: SampledSignal, xi_grid: np.ndarray | None = None) -> np.ndarray:
-    """sup over cutoffs of the partial-integral norm, per sample; shape (n,)."""
-    path = carleson_path(signal, xi_grid)
-    return norm_eval(path, signal.space).max(axis=1)
 
 
 def variational_carleson(

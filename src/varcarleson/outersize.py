@@ -26,8 +26,6 @@ from .tfs import (
     StripDictionary,
     Tree,
     TreeDictionary,
-    measure_mu,
-    measure_nu,
     strip_membership,
     tree_membership,
 )
@@ -138,8 +136,13 @@ def _region_mask(field: OuterField, element, region: str) -> np.ndarray:
 
 
 def local_size(field: OuterField, element, spec: SizeSpec) -> float:
-    """Local average of the field over one tree (or strip), per ``spec``."""
-    measure = measure_mu(element) if isinstance(element, Tree) else measure_nu(element)
+    """Local average of the field over one tree (or strip), per ``spec``.
+
+    Evaluates one element from its membership mask, independently of the
+    dictionary incidence that :func:`outer_size` and the covers read
+    (oracle: used by tests/verify only).
+    """
+    measure = element.s
 
     def lp_part(exponent: float, region: str) -> float:
         mask = _region_mask(field, element, region)

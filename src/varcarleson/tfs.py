@@ -1,4 +1,4 @@
-"""Time-frequency-scale geometry: grids, trees, strips, fields, pullbacks.
+"""Time-frequency-scale geometry: grids, trees, strips, fields.
 
 Points of the parameter space are triples (eta, y, t) of modulation,
 translation, and scale.  A *tree* with top (xi_T, x_T, s_T) is the image of
@@ -10,7 +10,7 @@ split into "in" and "out" parts by a subinterval Theta_in.  A *strip* keeps
 only the translation-scale constraint |y - x_D| < s_D - t.  Discretized
 fields live on a product grid (uniform eta, uniform y, geometric t); the
 reference measure deta dy dt gets node weights d_eta * d_y * (t * log rho),
-and on a tree the model measure dtheta dzeta dsigma/sigma pulls back to
+and on a tree the model measure dtheta dzeta dsigma/sigma becomes
 (deta dy dt)/s_T.  A dictionary holds its elements' node masks as one boolean
 incidence per region, stacked (n_elements, n_eta, n_y, n_t); the membership
 functions are its one-element case.
@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .core import ConfigurationError, NormedSpace, norm_eval
 
@@ -33,13 +32,8 @@ __all__ = [
     "Strip",
     "TreeDictionary",
     "StripDictionary",
-    "coord_forward",
-    "coord_inverse",
     "tree_membership",
     "strip_membership",
-    "measure_mu",
-    "measure_nu",
-    "pullback",
 ]
 
 
@@ -169,10 +163,6 @@ class Tree:
         object.__setattr__(self, "theta", (lo, hi))
         object.__setattr__(self, "theta_in", (lo_in, hi_in))
 
-    @property
-    def top(self) -> tuple:
-        return (self.xi, self.x, self.s)
-
 
 @dataclass(frozen=True)
 class Strip:
@@ -184,29 +174,6 @@ class Strip:
     def __post_init__(self):
         if not (self.s > 0 and math.isfinite(self.s)):
             raise ConfigurationError(f"strip scale must be positive, got {self.s}")
-
-
-def coord_forward(top: tuple, theta, zeta, sigma) -> tuple:
-    """Model coordinates -> parameter space, broadcasting elementwise."""
-    xi, x, s = (float(v) for v in top)
-    theta = np.asarray(theta, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if np.any(sigma <= 0):
-        raise ValueError("sigma must be positive")
-    t = s * sigma
-    return (xi + theta / t, x + s * zeta, t)
-
-
-def coord_inverse(top: tuple, eta, y, t) -> tuple:
-    """Parameter space -> model coordinates; inverse of coord_forward."""
-    xi, x, s = (float(v) for v in top)
-    eta = np.asarray(eta, dtype=float)
-    y = np.asarray(y, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("t must be positive")
-    return (t * (eta - xi), (y - x) / s, t / s)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -269,16 +236,6 @@ def tree_membership(grid: TFSGrid, tree: Tree, region: str = "full") -> np.ndarr
 def strip_membership(grid: TFSGrid, strip: Strip) -> np.ndarray:
     """Boolean node mask |y - x_D| < s_D - t (implies t < s_D)."""
     return _strip_incidence(grid, (strip,))[0]
-
-
-def measure_mu(tree: Tree) -> float:
-    """Tree measure: the top scale."""
-    return tree.s
-
-
-def measure_nu(strip: Strip) -> float:
-    """Strip measure: the top scale."""
-    return strip.s
 
 
 def _scale_ladder(t_min: float, t_max: float, factor: float, extra: int) -> np.ndarray:
@@ -396,41 +353,3 @@ class StripDictionary:
 
     def __len__(self) -> int:
         return len(self.strips)
-
-
-def pullback(
-    tree: Tree,
-    field: OuterField,
-    theta_pts: np.ndarray,
-    zeta_pts: np.ndarray,
-    sigma_pts: np.ndarray,
-) -> np.ndarray:
-    """Demodulated model-coordinate samples of the field on the tree closure.
-
-    Interpolates the field trilinearly in (eta, y, log t) at the image of the
-    model points, zero outside the grid and outside the closed model region
-    {theta in closure(Theta), |zeta| <= 1 - sigma, sigma <= 1}, and removes
-    the top's modulation with the phase exp(-2 pi i xi_T (x_T + s_T zeta)).
-    Returns a complex array of shape (len(theta), len(zeta), len(sigma), d).
-    """
-    theta_pts = np.asarray(theta_pts, dtype=float)
-    zeta_pts = np.asarray(zeta_pts, dtype=float)
-    sigma_pts = np.asarray(sigma_pts, dtype=float)
-    if np.any(sigma_pts <= 0):
-        raise ValueError("sigma must be positive")
-    grid = field.grid
-    interp = RegularGridInterpolator(
-        (grid.eta, grid.y, np.log(grid.t)),
-        field.values,
-        method="linear",
-        bounds_error=False,
-        fill_value=0.0,
-    )
-    th, ze, si = np.meshgrid(theta_pts, zeta_pts, sigma_pts, indexing="ij")
-    eta, y, t = coord_forward(tree.top, th, ze, si)
-    pts = np.stack([eta.ravel(), y.ravel(), np.log(t).ravel()], axis=-1)
-    vals = interp(pts).reshape(th.shape + (field.space.dim,))
-    lo, hi = tree.theta
-    inside = (th >= lo) & (th <= hi) & (np.abs(ze) <= 1.0 - si) & (si <= 1.0)
-    phase = np.exp(-2j * np.pi * tree.xi * (tree.x + tree.s * ze))
-    return np.where(inside[..., None], vals * phase[..., None], 0.0)

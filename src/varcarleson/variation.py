@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import NormedSpace, norm_eval
 
-__all__ = ["Path", "variation_norm", "variation_norm_bruteforce", "linf_norm"]
+__all__ = ["Path", "variation_norm", "variation_norm_bruteforce"]
 
 _BRUTEFORCE_LIMIT = 20  # 2^20 subsequences is the cost ceiling we accept
 
@@ -84,7 +84,10 @@ def variation_norm(path: Path, r: float) -> float:
 
 
 def variation_norm_bruteforce(path: Path, r: float) -> float:
-    """Enumerate every increasing subsequence; only for k <= 20."""
+    """Enumerate every increasing subsequence; only for k <= 20.
+
+    Independent of the dynamic program (oracle: used by tests/verify only).
+    """
     r = _check_r(r)
     k = len(path)
     if k > _BRUTEFORCE_LIMIT:
@@ -102,8 +105,3 @@ def variation_norm_bruteforce(path: Path, r: float) -> float:
             if total > best:
                 best = total
     return best ** (1.0 / r)
-
-
-def linf_norm(path: Path) -> float:
-    """Largest point norm along the path."""
-    return float(np.max(norm_eval(path.points, path.space)))

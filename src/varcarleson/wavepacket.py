@@ -35,7 +35,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicSpline
 
-from .core import ConfigurationError, NormedSpace, SampledSignal
+from .core import ConfigurationError
 
 __all__ = [
     "BumpSpec",
@@ -45,7 +45,6 @@ __all__ = [
     "MultiplierTable",
     "assemble_m",
     "packet_hat",
-    "packet_space",
     "ReconstructionReport",
     "verify_reconstruction",
 ]
@@ -120,17 +119,6 @@ class Bumps:
 
     def phi_hat(self, zeta) -> np.ndarray:
         return _bump(np.asarray(zeta, dtype=float) / (0.5 * self.spec.b))
-
-    def phi_space(self, x, order: int | None = None) -> np.ndarray:
-        """Inverse transform of phi_hat by Gauss-Legendre over B_{b/2}."""
-        x = np.asarray(x, dtype=float)
-        half = 0.5 * self.spec.b
-        if order is None:
-            order = 64 + int(4.0 * half * np.abs(x).max())
-        nodes, weights = leggauss(order)
-        zeta = half * nodes
-        vals = self.phi_hat(zeta) * (half * weights)
-        return (vals[None, :] * np.exp(2j * np.pi * np.outer(x, zeta))).sum(axis=1)
 
 
 _bumps_cache: dict = {}
@@ -220,7 +208,7 @@ def compute_m_plus(spec: BumpSpec, xi, order: int = 64) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class MultiplierTable:
-    """Sampled m_plus/m_minus/m on a symmetric grid over [-delta, 1 + delta].
+    """Sampled m on a symmetric grid over [-delta, 1 + delta].
 
     ``m`` is exactly the constant ``m0`` outside the transition zone
     ``B_{b/2}(1/2)`` (validated against the raw quadrature, then snapped);
@@ -230,14 +218,11 @@ class MultiplierTable:
 
     spec: BumpSpec
     xi_grid: np.ndarray
-    m_plus_values: np.ndarray
-    m_minus_values: np.ndarray
     m_values: np.ndarray
     m0: float
-    quad_order: int
 
     def __post_init__(self):
-        for name in ("xi_grid", "m_plus_values", "m_minus_values", "m_values"):
+        for name in ("xi_grid", "m_values"):
             arr = np.ascontiguousarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -260,65 +245,38 @@ class MultiplierTable:
     def m_inv_at(self, xi) -> np.ndarray | float:
         return 1.0 / self.m_at(xi)
 
-    def symmetry_residual(self) -> float:
-        """max |m(xi) - m(1 - xi)| over the tabulated grid."""
-        return float(np.abs(self.m_values - self.m_values[::-1]).max())
 
-    def derivative_outside_zone(self) -> float:
-        """max |m'| from finite differences on knots outside B_{b/2}(1/2)."""
-        mid = 0.5 * (self.xi_grid[1:] + self.xi_grid[:-1])
-        slopes = np.diff(self.m_values) / np.diff(self.xi_grid)
-        lo, hi = self.zone
-        keep = (mid <= lo) | (mid >= hi)
-        return float(np.abs(slopes[keep]).max())
+_M_KNOTS = 4096  # even, so xi_i and 1 - xi_i are both knots
+_M_QUAD_ORDER = 64
+_M_DELTA = 0.125  # the table covers [-delta, 1 + delta]
 
 
-def assemble_m(
-    spec: BumpSpec,
-    m_grid: int = 4096,
-    quad_order: int = 64,
-    delta: float = 0.125,
-) -> MultiplierTable:
-    """Tabulate m_plus, m_minus, and m over [-delta, 1 + delta].
+def assemble_m(spec: BumpSpec) -> MultiplierTable:
+    """Tabulate m = m_plus + m_minus over [-delta, 1 + delta].
 
-    Raises ConfigurationError if the raw quadrature values violate
-    positivity, the mirror symmetry m(xi) = m(1 - xi), or constancy outside
-    the transition zone: those are construction errors, not data.
+    Raises RuntimeError if the raw quadrature values violate positivity,
+    the mirror symmetry m(xi) = m(1 - xi), or constancy outside the
+    transition zone: those are construction defects, not bad input.
     """
-    if m_grid < 64:
-        raise ConfigurationError(f"m_grid must be >= 64, got {m_grid}")
-    if not (0.0 < delta <= 0.5):
-        raise ConfigurationError(f"delta must lie in (0, 1/2], got {delta}")
-    # symmetric grid: xi_i and 1 - xi_i are both knots
-    count = m_grid if m_grid % 2 == 0 else m_grid + 1
-    xi = np.linspace(-delta, 1.0 + delta, count)
-    m_plus = compute_m_plus(spec, xi, order=quad_order)
-    m_minus = m_plus[::-1].copy()  # m_minus(xi) = m_plus(1 - xi) on this grid
-    m_raw = m_plus + m_minus
-    m0 = _m_constant(spec, quad_order)
+    xi = np.linspace(-_M_DELTA, 1.0 + _M_DELTA, _M_KNOTS)
+    m_plus = compute_m_plus(spec, xi, order=_M_QUAD_ORDER)
+    m_raw = m_plus + m_plus[::-1]  # m_minus(xi) = m_plus(1 - xi) on this grid
+    m0 = _m_constant(spec, _M_QUAD_ORDER)
 
     if m_raw.min() <= 0.0:
-        raise ConfigurationError("multiplier construction failed: m is not positive")
+        raise RuntimeError("multiplier construction failed: m is not positive")
     sym = float(np.abs(m_raw - m_raw[::-1]).max())
     if sym > 1e-10 * m0:
-        raise ConfigurationError(f"multiplier symmetry defect {sym:.3e} exceeds tolerance")
+        raise RuntimeError(f"multiplier symmetry defect {sym:.3e} exceeds tolerance")
     half = 0.5 * spec.b
     const_zone = (xi <= 0.5 - half) | (xi >= 0.5 + half)
     drift = float(np.abs(m_raw[const_zone] - m0).max())
     if drift > 1e-6 * m0:
-        raise ConfigurationError(
+        raise RuntimeError(
             f"multiplier is not constant outside the transition zone (drift {drift:.3e})"
         )
     m_vals = np.where(const_zone, m0, 0.5 * (m_raw + m_raw[::-1]))
-    return MultiplierTable(
-        spec=spec,
-        xi_grid=xi,
-        m_plus_values=m_plus,
-        m_minus_values=m_minus,
-        m_values=m_vals,
-        m0=m0,
-        quad_order=quad_order,
-    )
+    return MultiplierTable(spec=spec, xi_grid=xi, m_values=m_vals, m0=m0)
 
 
 def _check_interval(c_minus: float, c_plus: float, sign: int) -> tuple:
@@ -389,39 +347,6 @@ def packet_hat(
     return out
 
 
-def packet_space(
-    table: MultiplierTable,
-    interval: tuple,
-    eta: float,
-    t: float,
-    *,
-    x0: float,
-    dx: float,
-    n: int,
-    sign: int = +1,
-    order: int | None = None,
-) -> SampledSignal:
-    """Spatial samples of the packet profile via Gauss-Legendre inversion.
-
-    The profile's spectrum lives in B_{b/2}, so the grid must satisfy
-    Nyquist > b/2 (ConfigurationError otherwise).  The quadrature order
-    scales with the largest |x| so the oscillatory phase stays resolved.
-    """
-    half = 0.5 * table.spec.b
-    if 0.5 / dx <= half:
-        raise ConfigurationError(
-            f"grid Nyquist {0.5 / dx:.4g} does not exceed the packet bandwidth {half:.4g}"
-        )
-    x = x0 + dx * np.arange(int(n))
-    if order is None:
-        order = 64 + int(4.0 * half * np.abs(x).max())
-    nodes, weights = leggauss(order)
-    zeta = half * nodes
-    prof = packet_hat(table, interval, eta, t, zeta, sign=sign) * (half * weights)
-    values = (prof[None, :] * np.exp(2j * np.pi * np.outer(x, zeta))).sum(axis=1)
-    return SampledSignal(x0, dx, values, NormedSpace(1, 2.0))
-
-
 @dataclass(frozen=True)
 class ReconstructionReport:
     """Residuals of the two-sign packet superposition against the indicator."""
@@ -472,7 +397,9 @@ def verify_reconstruction(
     with a composite midpoint rule at ``cells`` and ``refine * cells``
     subdivisions per axis, independent of the Gauss-Legendre table route;
     the reported ratio is the sup-residual contraction under refinement.
-    Outside the interval the superposition vanishes identically.
+    Outside the interval the superposition vanishes identically.  The
+    midpoint rule is the oracle for the table route (oracle: used by
+    tests/verify only).
     """
     c_minus, c_plus = _check_interval(*interval, +1)
     if math.isinf(c_minus) or math.isinf(c_plus):

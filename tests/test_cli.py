@@ -259,6 +259,31 @@ def test_config_value_of_wrong_type_is_rejected(tmp_path, capsys, value):
     assert "sweep.corpus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, command, count",
+    [
+        pytest.param(name, command, count, id=name)
+        for name, command, count in (
+            ("sweep.corpus", ["sweep"], 0),
+            ("dual.instances", ["verify", "dual"], -3),
+            ("holder.pairs", ["verify", "holder"], 0),
+            ("domination.instances", ["verify", "domination"], 0),
+            ("ptnm.signals", ["verify", "ptnm"], 0),
+            ("reconstruction.points", ["verify", "reconstruction"], -1),
+            ("converge.points", ["converge"], 0),
+        )
+    ],
+)
+def test_corpus_count_below_one_is_rejected(tmp_path, capsys, name, command, count):
+    # an empty corpus runs no check, so it must not pass vacuously
+    section, key = name.split(".")
+    path = write_config(tmp_path, {section: {key: count}}, "count.json")
+    assert main(command + ["--preset", "tiny", "--config", path]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert name in captured.err
+    assert captured.out == ""
+
+
 def test_verify_tolerance_failure_exits_one(tmp_path):
     # an impossible residual bound turns the reconstruction check red
     path = write_config(tmp_path, {"reconstruction": {"sup_max": 1e-12}})

@@ -1,4 +1,4 @@
-"""Spaces, pairings, signal generators, and the vcsig text format."""
+"""Spaces, pairings, and signal generators."""
 
 import math
 
@@ -11,13 +11,10 @@ from varcarleson.core import (
     NormedSpace,
     SampledSignal,
     SequenceSignal,
-    SignalParseError,
     dual_exponent,
     duality_pairing,
     make_signal,
     norm_eval,
-    signal_read,
-    signal_write,
 )
 
 EXPONENTS = [1.0, 1.5, 2.0, 3.0, math.inf]
@@ -187,62 +184,3 @@ def test_make_signal_rejects_unknown():
         make_signal("sawtooth", {}, n=64, dx=0.25)
     with pytest.raises(ConfigurationError):
         make_signal("gaussian", {"wobble": 3}, n=64, dx=0.25)
-
-
-def test_signal_io_round_trip_bit_exact(tmp_path):
-    space = NormedSpace(2, 1.5)
-    rng = np.random.default_rng(5)
-    values = rng.standard_normal((16, 2)) * 1e-7 + 1j * rng.standard_normal((16, 2)) * 1e3
-    sig = SampledSignal(-1.25, 1.0 / 3.0, values, space)
-    path = tmp_path / "sig.txt"
-    signal_write(sig, path)
-    back = signal_read(path)
-    assert back.x0 == sig.x0 and back.dx == sig.dx
-    assert back.space == sig.space
-    assert np.array_equal(back.values, sig.values)
-    path2 = tmp_path / "sig2.txt"
-    signal_write(back, path2)
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_signal_io_infinite_exponent(tmp_path):
-    sig = SampledSignal(0.0, 1.0, np.ones((4, 1)), NormedSpace(1, math.inf))
-    path = tmp_path / "sig.txt"
-    signal_write(sig, path)
-    assert signal_read(path).space.exponent == math.inf
-
-
-def test_signal_io_parse_errors(tmp_path):
-    path = tmp_path / "bad.txt"
-
-    path.write_text("")
-    with pytest.raises(SignalParseError):
-        signal_read(path)
-
-    path.write_text("# wrong header\n")
-    with pytest.raises(SignalParseError) as err:
-        signal_read(path)
-    assert err.value.line_no == 1
-
-    path.write_text("# vcsig v1 n=3 d=1 x0=0.0 dx=1.0 p=2\n1.0 0.0\n2.0 0.0\n")
-    with pytest.raises(SignalParseError):
-        signal_read(path)  # one sample line short
-
-    path.write_text("# vcsig v1 n=2 d=1 x0=0.0 dx=1.0 p=2\n1.0 0.0\n2.0\n")
-    with pytest.raises(SignalParseError) as err:
-        signal_read(path)
-    assert err.value.line_no == 3
-
-    path.write_text("# vcsig v1 n=2 d=1 x0=0.0 dx=1.0 p=2\n1.0 0.0\nbad 0.0\n")
-    with pytest.raises(SignalParseError) as err:
-        signal_read(path)
-    assert err.value.line_no == 3
-
-    path.write_text("# vcsig v1 n=2 d=1 x0=0.0 dx=1.0 p=2\n1.0 0.0\nnan 0.0\n")
-    with pytest.raises(SignalParseError):
-        signal_read(path)
-
-    path.write_text("# vcsig v1 n=2 x0=0.0 dx=1.0 p=2\n1.0 0.0\n1.0 0.0\n")
-    with pytest.raises(SignalParseError) as err:
-        signal_read(path)
-    assert err.value.line_no == 1

@@ -4,6 +4,7 @@ import pytest
 from varcarleson import cli
 from varcarleson.core import ConfigurationError, NormedSpace
 from varcarleson.embedding import domination_dictionaries, dump_field, load_field, theta_windows
+from varcarleson.outersize import SizeSpec, local_size
 from varcarleson.tfs import (
     OuterField,
     Strip,
@@ -11,11 +12,6 @@ from varcarleson.tfs import (
     TFSGrid,
     Tree,
     TreeDictionary,
-    coord_forward,
-    coord_inverse,
-    measure_mu,
-    measure_nu,
-    pullback,
     strip_membership,
     tree_membership,
 )
@@ -50,25 +46,6 @@ def test_grid_validation():
         TFSGrid.build((-1.0, 1.0), 9, (-1.0, 1.0), 9, 0.5, 0.1, 2.0)
     with pytest.raises(ConfigurationError):
         TFSGrid.build((-1.0, 1.0), 9, (-1.0, 1.0), 9, 0.1, 0.5, 0.9)
-
-
-def test_coordinate_round_trip():
-    rng = np.random.default_rng(3)
-    top = (0.7, -1.3, 2.9)
-    theta = rng.uniform(-2.0, 2.0, 10000)
-    zeta = rng.uniform(-3.0, 3.0, 10000)
-    sigma = rng.uniform(0.01, 2.0, 10000)
-    eta, y, t = coord_forward(top, theta, zeta, sigma)
-    back = coord_inverse(top, eta, y, t)
-    assert np.abs(back[0] - theta).max() <= 1e-12
-    assert np.abs(back[1] - zeta).max() <= 1e-12
-    assert np.abs(back[2] - sigma).max() <= 1e-12
-    fwd = coord_forward(top, *coord_inverse(top, 0.4, 0.2, 0.3))
-    assert np.allclose(fwd, (0.4, 0.2, 0.3), rtol=1e-12)
-    with pytest.raises(ValueError):
-        coord_forward(top, 0.0, 0.0, -1.0)
-    with pytest.raises(ValueError):
-        coord_inverse(top, 0.0, 0.0, 0.0)
 
 
 def test_tree_validation():
@@ -139,7 +116,10 @@ def test_strip_membership_definition_and_nesting():
     assert np.array_equal(mask, np.broadcast_to(expect, grid.shape))
     bigger = strip_membership(grid, Strip(0.25, 1.7))
     assert np.all(bigger[mask])
-    assert measure_nu(Strip(0.25, 0.9)) == 0.9
+    # the strip's outer measure is its top scale
+    ones = OuterField(grid, np.ones(grid.shape + (1,)), NormedSpace(1, 2.0))
+    mass = grid.cell_weights()[mask].sum()
+    assert local_size(ones, strip, SizeSpec("lp", 1.0)) == pytest.approx(mass / 0.9, rel=1e-12)
 
 
 def test_tree_nesting_in_scale():
@@ -149,7 +129,13 @@ def test_tree_nesting_in_scale():
     m_small = tree_membership(grid, small)
     m_large = tree_membership(grid, large)
     assert np.all(m_large[m_small])
-    assert measure_mu(small) < measure_mu(large)
+    # the tree's outer measure is its top scale
+    ones = OuterField(grid, np.ones(grid.shape + (1,)), NormedSpace(1, 2.0))
+    for tree, mask in ((small, m_small), (large, m_large)):
+        mass = grid.cell_weights()[mask].sum()
+        assert local_size(ones, tree, SizeSpec("lp", 1.0)) == pytest.approx(
+            mass / tree.s, rel=1e-12
+        )
 
 
 def test_dictionary_coverage():
@@ -225,39 +211,6 @@ def test_field_validation_and_restrict():
     assert np.array_equal(restricted.values[mask], field.values[mask])
     with pytest.raises(ValueError):
         field.restrict(mask[:2])
-
-
-def test_pullback_on_grid_matches_demodulated_samples():
-    grid = small_grid()
-    space = NormedSpace(2, 2.0)
-    rng = np.random.default_rng(6)
-    vals = rng.normal(size=grid.shape + (2,)) + 1j * rng.normal(size=grid.shape + (2,))
-    field = OuterField(grid, vals, space)
-    tree = Tree(0.5, 0.0, 1.2, THETA, THETA_IN)
-    mask = tree_membership(grid, tree)
-    for i, j, k in np.argwhere(mask)[::37]:
-        theta, zeta, sigma = coord_inverse(tree.top, grid.eta[i], grid.y[j], grid.t[k])
-        got = pullback(tree, field, np.array([theta]), np.array([zeta]), np.array([sigma]))
-        phase = np.exp(-2j * np.pi * tree.xi * (tree.x + tree.s * zeta))
-        assert np.abs(got[0, 0, 0] - field.values[i, j, k] * phase).max() <= 1e-12
-
-
-def test_pullback_zero_outside_model_region_and_grid():
-    grid = small_grid()
-    space = NormedSpace(1, 2.0)
-    field = OuterField(grid, np.ones(grid.shape + (1,), dtype=complex), space)
-    tree = Tree(0.0, 0.0, 1.0, THETA, THETA_IN)
-    theta = np.array([-0.5, 0.5, 2.0])  # below, inside, above the window
-    zeta = np.array([0.0, 0.9])
-    sigma = np.array([0.3, 0.95, 1.5])
-    got = pullback(tree, field, theta, zeta, sigma)
-    assert np.all(got[0] == 0.0) and np.all(got[2] == 0.0)  # theta outside closure
-    assert np.all(got[:, :, 2] == 0.0)  # sigma > 1
-    assert np.all(got[1, 1, :] == 0.0)  # |zeta| > 1 - sigma at every sigma here
-    inside = got[1, 0, 0, 0]
-    assert abs(inside - np.exp(-2j * np.pi * tree.xi * tree.x)) <= 1e-12
-    with pytest.raises(ValueError):
-        pullback(tree, field, theta, zeta, np.array([0.0]))
 
 
 def test_field_io_round_trip(tmp_path):
