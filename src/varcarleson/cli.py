@@ -313,16 +313,22 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-# corpus and point counts: a count below 1 would run no check and pass vacuously
+# counts that must be at least 1: a corpus or point count below 1 would run no
+# check and pass vacuously, and each domination draw excludes between 1 and
+# max_excluded trees per sign
 _CORPUS_COUNTS = (
     "sweep.corpus",
     "dual.instances",
     "holder.pairs",
     "domination.instances",
+    "domination.max_excluded",
     "ptnm.signals",
     "reconstruction.points",
     "converge.points",
 )
+# exponent lists that must not be empty: an empty one would run no check and
+# pass vacuously
+_VALUE_LISTS = ("sweep.p_values", "sweep.r_values", "sweep.r0_values", "ptnm.s_values")
 
 
 def resolve_config(
@@ -347,6 +353,10 @@ def resolve_config(
             raise ConfigurationError(
                 f"config key {name!r} must be at least 1, got {settings[section][key]}"
             )
+    for name in _VALUE_LISTS:
+        section, key = name.split(".")
+        if not settings[section][key]:
+            raise ConfigurationError(f"config key {name!r} must list at least one value")
     if seed is not None:
         settings["seed"] = seed
     space = NormedSpace(int(settings["space"]["dim"]), float(settings["space"]["exponent"]))

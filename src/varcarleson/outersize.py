@@ -9,11 +9,14 @@ pick sequence does not depend on the level, so one profile serves every
 level and the outer Lebesgue quasinorm is a weighted integral of the prefix
 costs over 64 logarithmically spaced levels.  Iterated quasinorms run the
 same engine at strip level with the strip-localized, scale-normalized inner
-quasinorm as the size.
+quasinorm as the size; each strip's inner cover runs on only the trees that
+meet the strip.  Sum terms of a size read the boolean incidence directly; the
+max term reads the per-row cell index derived from it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -107,9 +110,14 @@ def _terms(field: OuterField, norms: np.ndarray, spec: SizeSpec) -> list:
     return [energy] + extra[spec.kind]
 
 
-def _region_max(mat: np.ndarray, density: np.ndarray) -> np.ndarray:
-    """Largest density over each row's cells; 0 for a row with no cell."""
-    return np.where(mat, density[None, :], 0.0).max(axis=1)
+def _region_max(dictionary: TreeDictionary, region: str, density: np.ndarray) -> np.ndarray:
+    """Largest density over each tree's region cells; 0 for a tree with no cell.
+
+    One segment max over the dictionary's per-row cell index, whose leading
+    sentinel cell reads the padded 0; exact, as a max has no rounding.
+    """
+    index, starts = dictionary._row_cells(region)
+    return np.maximum.reduceat(np.append(density, 0.0)[index], starts)
 
 
 def _sizes_over(field: OuterField, dictionary, spec: SizeSpec) -> np.ndarray:
@@ -117,10 +125,10 @@ def _sizes_over(field: OuterField, dictionary, spec: SizeSpec) -> np.ndarray:
     measures = _measures(dictionary)
     parts = []
     for region, exponent, density in _terms(field, field.norms().ravel(), spec):
-        mat = dictionary.incidence(region).reshape(measures.size, -1)
         if math.isinf(exponent):
-            parts.append(_region_max(mat, density))
+            parts.append(_region_max(dictionary, region, density))
         else:
+            mat = dictionary.incidence(region).reshape(measures.size, density.size)
             parts.append((np.maximum(mat @ density, 0.0) / measures) ** (1.0 / exponent))
     return sum(parts[1:], parts[0])
 
@@ -174,8 +182,8 @@ def local_size(field: OuterField, element, spec: SizeSpec) -> float:
 
 
 def outer_size(field: OuterField, dictionary: TreeDictionary, spec: SizeSpec) -> float:
-    """Outer essential supremum: the largest local size over the dictionary."""
-    return float(_sizes_over(field, dictionary, spec).max())
+    """Outer essential supremum: the largest local size over the dictionary (0 if empty)."""
+    return float(_sizes_over(field, dictionary, spec).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -230,10 +238,10 @@ def _spec_state(field: OuterField, dictionary, spec: SizeSpec, alive: np.ndarray
     measures = _measures(dictionary)
     sups, pieces = [], []
     for region, exponent, density in _terms(field, norms, spec):
-        stack = dictionary.incidence(region).reshape(measures.size, -1)
         if math.isinf(exponent):
-            sups.append((stack, density))
+            sups.append((region, density))
         else:
+            stack = dictionary.incidence(region).reshape(measures.size, -1)
             pieces.append((_LinearPiece(stack, support, density), exponent))
 
     def sizes() -> np.ndarray:
@@ -241,8 +249,8 @@ def _spec_state(field: OuterField, dictionary, spec: SizeSpec, alive: np.ndarray
         total = np.zeros(measures.size)
         for piece, exponent in pieces:
             total += (piece.values() / measures) ** (1.0 / exponent)
-        for stack, density in sups:
-            total += _region_max(stack, np.where(alive, density, 0.0))
+        for region, density in sups:
+            total += _region_max(dictionary, region, np.where(alive, density, 0.0))
         return total
 
     def remove(cells: np.ndarray) -> None:
@@ -309,15 +317,16 @@ def greedy_cover_profile(
     return _greedy(dictionary, sizes, remove, alive, live, stop_below)
 
 
+def _prefix_measures(selection: CoverSelection, levels: np.ndarray) -> np.ndarray:
+    """Cover cost of the picks before the first recorded size not above each level."""
+    above = np.array(selection.sizes, dtype=float)[None, :] > levels[:, None]
+    first = np.logical_and.accumulate(above, axis=1).sum(axis=1)
+    return np.concatenate(([0.0], selection.prefix_costs))[first]
+
+
 def super_level_measure(selection: CoverSelection, level: float) -> float:
     """Total cover cost of the picks whose residual size exceeds the level."""
-    measure = 0.0
-    for size, cost in zip(selection.sizes, selection.prefix_costs):
-        if size > level:
-            measure = cost
-        else:
-            break
-    return measure
+    return float(_prefix_measures(selection, np.array([level]))[0])
 
 
 def _quasinorm_from_profile(top: float, selection: CoverSelection, p: float) -> float:
@@ -325,7 +334,7 @@ def _quasinorm_from_profile(top: float, selection: CoverSelection, p: float) -> 
         return 0.0
     levels = np.geomspace(top / _LEVEL_SPAN, top, _LEVELS)
     # left limits: at the top level itself the measure has already dropped
-    mu = np.array([super_level_measure(selection, lam * _LEFT_LIMIT) for lam in levels])
+    mu = _prefix_measures(selection, levels * _LEFT_LIMIT)
     integrand = p * levels**p * mu
     integral = float(np.trapezoid(integrand, np.log(levels)))
     # below the smallest level the measure is frozen at its last sampled value
@@ -348,6 +357,23 @@ def outer_lp_quasinorm(
     return _quasinorm_from_profile(top, selection, p)
 
 
+@functools.lru_cache(maxsize=4)
+def _strip_subsets(tree_dictionary: TreeDictionary, strip_dictionary: StripDictionary) -> tuple:
+    """Per strip, the sub-dictionary of the trees that meet it, in tree order.
+
+    On a field restricted to a strip, a tree that misses the strip has size
+    exactly 0 and is never picked, and keeping the tree order keeps the
+    index tie-break, so the strip's inner cover needs only these trees.
+    """
+    rows = tree_dictionary.masks.reshape(len(tree_dictionary), -1)
+    subsets = []
+    for strip in strip_dictionary.masks.reshape(len(strip_dictionary), -1):
+        meets = np.flatnonzero((rows & strip).any(axis=1))
+        trees = tuple(tree_dictionary.trees[i] for i in meets)
+        subsets.append(TreeDictionary(tree_dictionary.grid, trees, tree_dictionary.masks[meets]))
+    return tuple(subsets)
+
+
 def iterated_quasinorm(
     field: OuterField,
     tree_dictionary: TreeDictionary,
@@ -359,11 +385,13 @@ def iterated_quasinorm(
     """Outer L^p over strips of the strip-localized inner L^q quasinorm.
 
     The size of a strip is nu(D)^(-1/q) times the inner quasinorm of the
-    field restricted to the strip; the strip-level engine is the same greedy
-    profile that drives the tree-level quasinorm.
+    field restricted to the strip, taken over the trees that meet the strip;
+    the strip-level engine is the same greedy profile that drives the
+    tree-level quasinorm.
     """
     if not (p > 0.0 and q > 0.0):
         raise ConfigurationError(f"exponents must be positive, got p={p}, q={q}")
+    subsets = _strip_subsets(tree_dictionary, strip_dictionary)
     measures = _measures(strip_dictionary)
     stack = strip_dictionary.masks.reshape(measures.size, -1)
     alive = np.ones(stack.shape[1], dtype=bool)
@@ -371,7 +399,7 @@ def iterated_quasinorm(
 
     def strip_value(i: int) -> float:
         keep = (stack[i] & alive).reshape(field.grid.shape)
-        inner = outer_lp_quasinorm(field.restrict(keep), tree_dictionary, spec, q)
+        inner = outer_lp_quasinorm(field.restrict(keep), subsets[i], spec, q)
         return inner if math.isinf(q) else float(measures[i] ** (-1.0 / q) * inner)
 
     vals = np.array([strip_value(i) for i in range(measures.size)])

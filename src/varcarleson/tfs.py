@@ -13,7 +13,8 @@ reference measure deta dy dt gets node weights d_eta * d_y * (t * log rho),
 and on a tree the model measure dtheta dzeta dsigma/sigma becomes
 (deta dy dt)/s_T.  A dictionary holds its elements' node masks as one boolean
 incidence per region, stacked (n_elements, n_eta, n_y, n_t); the membership
-functions are its one-element case.
+functions are its one-element case.  Segment reductions over a tree
+dictionary's rows read a per-row cell index derived from that incidence.
 """
 
 from __future__ import annotations
@@ -284,6 +285,7 @@ class TreeDictionary:
         for region in ("in", "out"):
             regions[region] = _frozen(_split(self.grid, self.trees, full, region))
         object.__setattr__(self, "_regions", regions)
+        object.__setattr__(self, "_cells", {})
 
     @classmethod
     def build(
@@ -312,6 +314,21 @@ class TreeDictionary:
         if region not in self._regions:
             raise ValueError(f"region must be 'full', 'in', or 'out', got {region!r}")
         return self._regions[region]
+
+    def _row_cells(self, region: str) -> tuple:
+        """Flat cell index of the region's incidence row by row, and the row starts.
+
+        Each row is led by the sentinel cell -1, so a row without cells
+        still has a segment; a flat density with a 0 appended reduces over
+        every row with one ``np.maximum.reduceat(padded[index], starts)``.
+        Built on first use and kept per region.
+        """
+        if region not in self._cells:
+            flat = self.incidence(region).reshape(len(self), math.prod(self.grid.shape))
+            sentinel = np.ones((len(self), 1), dtype=bool)
+            _, cols = np.nonzero(np.hstack([sentinel, flat]))
+            self._cells[region] = (_frozen(cols - 1), _frozen(np.flatnonzero(cols == 0)))
+        return self._cells[region]
 
     def __len__(self) -> int:
         return len(self.trees)

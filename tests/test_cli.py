@@ -268,6 +268,7 @@ def test_config_value_of_wrong_type_is_rejected(tmp_path, capsys, value):
             ("dual.instances", ["verify", "dual"], -3),
             ("holder.pairs", ["verify", "holder"], 0),
             ("domination.instances", ["verify", "domination"], 0),
+            ("domination.max_excluded", ["verify", "domination"], 0),
             ("ptnm.signals", ["verify", "ptnm"], 0),
             ("reconstruction.points", ["verify", "reconstruction"], -1),
             ("converge.points", ["converge"], 0),
@@ -278,6 +279,26 @@ def test_corpus_count_below_one_is_rejected(tmp_path, capsys, name, command, cou
     # an empty corpus runs no check, so it must not pass vacuously
     section, key = name.split(".")
     path = write_config(tmp_path, {section: {key: count}}, "count.json")
+    assert main(command + ["--preset", "tiny", "--config", path]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert name in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        ("sweep.p_values", ["sweep"]),
+        ("sweep.r_values", ["sweep"]),
+        ("sweep.r0_values", ["sweep"]),
+        ("ptnm.s_values", ["verify", "ptnm"]),
+    ],
+    ids=["p_values", "r_values", "r0_values", "s_values"],
+)
+def test_empty_exponent_list_is_rejected(tmp_path, capsys, name, command):
+    # an empty list of exponents runs no check, so it must not pass vacuously
+    section, key = name.split(".")
+    path = write_config(tmp_path, {section: {key: []}}, "empty.json")
     assert main(command + ["--preset", "tiny", "--config", path]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert name in captured.err

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from varcarleson import outersize
+from varcarleson import cli, outersize
 from varcarleson.core import ConfigurationError, NormedSpace
+from varcarleson.embedding import domination_dictionaries, theta_windows
 from varcarleson.outersize import (
     CoverSelection,
     SizeSpec,
@@ -210,6 +211,109 @@ def test_iterated_evaluates_only_touched_live_strips(setting, monkeypatch):
     iterated_quasinorm(field, trees, strips, SizeSpec("lp", 2.0, "full"), 2.0, 2.0)
     assert len(strips) == 25
     assert len(calls) == 70
+
+
+def dense_region_max(dictionary, region, density):
+    """The region max over the dense incidence (oracle for ``_region_max``)."""
+    mat = dictionary.incidence(region).reshape(len(dictionary), -1)
+    return np.where(mat, density, 0.0).max(axis=1)
+
+
+@pytest.fixture(scope="module")
+def ref_dictionaries():
+    """The tree dictionaries of ``vc verify holder|domination --preset ref``."""
+    settings = cli.resolve_config("verify", preset="ref").settings
+    table = cli._table_from(settings)
+    holder, domination = settings["holder"], settings["domination"]
+    theta, theta_in = theta_windows(table, +1)
+    trees = TreeDictionary.build(
+        cli._grid_from(holder["grid"]), theta, theta_in,
+        eta_stride=int(holder["eta_stride"]), y_stride=int(holder["y_stride"]),
+    )
+    signed = domination_dictionaries(
+        cli._grid_from(domination["grid"]), table,
+        eta_stride=int(domination["eta_stride"]), y_stride=int(domination["y_stride"]),
+    )
+    return {"holder": trees, "domination+": signed[+1], "domination-": signed[-1]}
+
+
+@pytest.mark.parametrize("name", ["holder", "domination+", "domination-"])
+def test_region_max_matches_dense_oracle(ref_dictionaries, name):
+    dictionary = ref_dictionaries[name]
+    cells = dictionary.masks[0].size
+    rng = np.random.default_rng(5)
+    density = rng.random(cells)
+    density[rng.random(cells) < 0.4] = 0.0  # exact zeros
+    empty_rows = 0
+    for region in ("full", "in", "out"):
+        for dens in (density, np.zeros(cells)):
+            fast = outersize._region_max(dictionary, region, dens)
+            assert np.array_equal(fast, dense_region_max(dictionary, region, dens))
+        empty_rows += int((~dictionary.incidence(region).reshape(len(dictionary), -1).any(1)).sum())
+    assert empty_rows > 0  # the out regions have trees without cells
+
+
+def test_region_max_reads_zero_on_an_empty_row(setting):
+    grid, field, trees, _ = setting
+    masks = np.stack([trees.masks[100], np.zeros(grid.shape, dtype=bool), trees.masks[150]])
+    hand = TreeDictionary(grid, (trees.trees[100], trees.trees[120], trees.trees[150]), masks)
+    density = field.norms().ravel()
+    for region in ("full", "in", "out"):
+        fast = outersize._region_max(hand, region, density)
+        assert fast[1] == 0.0
+        assert np.array_equal(fast, dense_region_max(hand, region, density))
+
+
+@pytest.mark.parametrize(
+    "spec", [SizeSpec("lp", 2.0, "full"), SizeSpec("f"), SizeSpec("fstar")],
+    ids=["lp2", "f", "fstar"],
+)
+@pytest.mark.parametrize("p, q", [(2.0, 2.0), (3.0, 1.5)], ids=["p2q2", "p3q1.5"])
+def test_strip_local_covers_match_whole_dictionary(setting, monkeypatch, spec, p, q):
+    grid, field, trees, strips = setting
+    subsets = outersize._strip_subsets(trees, strips)
+    assert min(len(sub) for sub in subsets) < len(trees)  # strips do drop trees
+    local = iterated_quasinorm(field, trees, strips, spec, p, q)
+    monkeypatch.setattr(outersize, "_strip_subsets", lambda t, s: (t,) * len(s))
+    assert iterated_quasinorm(field, trees, strips, spec, p, q) == local
+
+
+def test_strip_meeting_no_tree_has_size_zero(setting, monkeypatch):
+    grid, field, trees, strips = setting
+    one = TreeDictionary(grid, (trees.trees[100],), (trees.masks[100],))
+    assert min(len(sub) for sub in outersize._strip_subsets(one, strips)) == 0
+    local = iterated_quasinorm(field, one, strips, SizeSpec("f"), 2.0, 2.0)
+    assert local > 0.0
+    monkeypatch.setattr(outersize, "_strip_subsets", lambda t, s: (t,) * len(s))
+    assert iterated_quasinorm(field, one, strips, SizeSpec("f"), 2.0, 2.0) == local
+
+
+def looped_super_level_measure(selection, level):
+    """The cost of the picks before the first size not above the level, by a loop (oracle)."""
+    measure = 0.0
+    for size, cost in zip(selection.sizes, selection.prefix_costs):
+        if size > level:
+            measure = cost
+        else:
+            break
+    return measure
+
+
+def test_super_level_measure_matches_loop(setting):
+    grid, field, trees, _ = setting
+    spec = SizeSpec("f")
+    top = outer_size(field, trees, spec)
+    profile = greedy_cover_profile(field, trees, spec, stop_below=top / 1e3)
+    sizes = np.array(profile.sizes)
+    levels = np.concatenate(
+        [sizes, np.nextafter(sizes, 0.0), np.nextafter(sizes, np.inf),
+         np.geomspace(top / 1e3, top, 64) * (1.0 - 1e-12), [0.0, 2.0 * top]]
+    )
+    expect = [looped_super_level_measure(profile, lam) for lam in levels]
+    assert [super_level_measure(profile, lam) for lam in levels] == expect
+    assert outersize._prefix_measures(profile, levels).tolist() == expect
+    empty = CoverSelection((), (), ())
+    assert outersize._prefix_measures(empty, levels).tolist() == [0.0] * levels.size
 
 
 def test_super_level_measure_monotone_and_certified(setting):
