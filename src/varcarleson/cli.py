@@ -329,6 +329,15 @@ _CORPUS_COUNTS = (
 # exponent lists that must not be empty: an empty one would run no check and
 # pass vacuously
 _VALUE_LISTS = ("sweep.p_values", "sweep.r_values", "sweep.r0_values", "ptnm.s_values")
+# sample counts of signals that go through the radix-2 transform
+_SAMPLE_COUNTS = ("sweep.signal.n", "dual.signal.n", "ptnm.signal.n", "converge.n")
+
+
+def _setting(settings: dict, name: str):
+    """The value at a dotted config path such as ``sweep.signal.n``."""
+    for key in name.split("."):
+        settings = settings[key]
+    return settings
 
 
 def resolve_config(
@@ -348,15 +357,16 @@ def resolve_config(
             raise ConfigurationError(f"config file {config_path} must hold a JSON object")
         settings = _deep_merge(settings, override)
     for name in _CORPUS_COUNTS:
-        section, key = name.split(".")
-        if settings[section][key] < 1:
-            raise ConfigurationError(
-                f"config key {name!r} must be at least 1, got {settings[section][key]}"
-            )
+        count = _setting(settings, name)
+        if count < 1:
+            raise ConfigurationError(f"config key {name!r} must be at least 1, got {count}")
     for name in _VALUE_LISTS:
-        section, key = name.split(".")
-        if not settings[section][key]:
+        if not _setting(settings, name):
             raise ConfigurationError(f"config key {name!r} must list at least one value")
+    for name in _SAMPLE_COUNTS:
+        n = _setting(settings, name)
+        if n < 2 or n & (n - 1):
+            raise ConfigurationError(f"config key {name!r} must be a power of two, got {n}")
     if seed is not None:
         settings["seed"] = seed
     space = NormedSpace(int(settings["space"]["dim"]), float(settings["space"]["exponent"]))
@@ -652,6 +662,13 @@ def domination_corpus_maxima(config: ExperimentConfig) -> dict:
     dictionaries = domination_dictionaries(
         grid, table, eta_stride=int(sec["eta_stride"]), y_stride=int(sec["y_stride"])
     )
+    # each draw excludes up to max_excluded distinct trees of each sign
+    trees = min(len(d.masks) for d in dictionaries.values())
+    if sec["max_excluded"] > trees:
+        raise ConfigurationError(
+            f"config key 'domination.max_excluded' must be at most the {trees} trees "
+            f"of each domination dictionary, got {sec['max_excluded']}"
+        )
     rng = np.random.default_rng(config.seed)
     keys = ("plus_full", "plus_masked", "minus_full", "minus_masked")
     maxima = dict.fromkeys(keys, 0.0)

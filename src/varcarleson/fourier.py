@@ -170,12 +170,14 @@ def pointwise_variational(
     return _batched_variation(scalar, NormedSpace(1, 2.0), r).reshape(n, dim)
 
 
-def _rowwise_partial(signal: SampledSignal, cutoffs: np.ndarray) -> np.ndarray:
-    """C_{c(x_i)} f(x_i) with a per-sample cutoff array; shape (n, d)."""
-    spec = dft(signal)
-    x = signal.grid()
+def _rowwise_partial(spec: Spectrum, phases: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
+    """C_{c(x_i)} f(x_i) with a per-sample cutoff array; shape (n, d).
+
+    ``phases`` is the (n, n) table exp(2 pi i x_i xi_k) * dxi on the sample
+    grid.  It and ``spec`` do not depend on the cutoffs, so ``linearized_vc``
+    builds both once per call and shares them across every level.
+    """
     w = _cutoff_weights(spec.frequencies, cutoffs)  # (n_x, n_freq)
-    phases = np.exp(2j * np.pi * x[:, None] * spec.frequencies[None, :]) * spec.dxi
     return np.einsum("xk,xk,kd->xd", w, phases, spec.coefficients, optimize=True)
 
 
@@ -183,14 +185,19 @@ def linearized_vc(signal: SampledSignal, selection: FrequencySelection) -> Seque
     """Increments C_{c_{j+1}(x)} f(x) - C_{c_j(x)} f(x), one signal per j.
 
     The selection must carry one row per sample; the increments telescope to
-    C_{c_J} f - C_{c_0} f exactly.
+    C_{c_J} f - C_{c_0} f exactly.  The transform and the phase table are
+    built once per call; each level only adds its cutoff weights and one
+    contraction.
     """
     if selection.n != signal.n:
         raise ValueError(
             f"selection has {selection.n} rows, signal has {signal.n} samples"
         )
     levels = selection.levels
-    stages = [_rowwise_partial(signal, levels[:, j]) for j in range(levels.shape[1])]
+    spec = dft(signal)
+    x = signal.grid()
+    phases = np.exp(2j * np.pi * x[:, None] * spec.frequencies[None, :]) * spec.dxi
+    stages = [_rowwise_partial(spec, phases, levels[:, j]) for j in range(levels.shape[1])]
     entries = [signal.with_values(stages[j + 1] - stages[j]) for j in range(selection.steps)]
     return SequenceSignal(tuple(entries))
 

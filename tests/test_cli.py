@@ -305,6 +305,46 @@ def test_empty_exponent_list_is_rejected(tmp_path, capsys, name, command):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "name, command",
+    [
+        pytest.param(name, command, id=name)
+        for name, command in (
+            ("sweep.signal.n", ["sweep"]),
+            ("dual.signal.n", ["verify", "dual"]),
+            ("ptnm.signal.n", ["verify", "ptnm"]),
+            ("converge.n", ["converge"]),
+        )
+    ],
+)
+def test_sample_count_not_power_of_two_is_rejected(tmp_path, capsys, name, command):
+    # the radix-2 transform needs a power-of-two sample count
+    payload = 100
+    for key in reversed(name.split(".")):
+        payload = {key: payload}
+    path = write_config(tmp_path, payload, "samples.json")
+    assert main(command + ["--preset", "tiny", "--config", path]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert name in captured.err
+    assert captured.out == ""
+
+
+def test_max_excluded_above_tree_count_is_rejected(tmp_path, capsys):
+    # each domination draw excludes max_excluded distinct trees of each sign,
+    # and the tiny dictionaries hold 324 trees per sign
+    path = write_config(tmp_path, {"domination": {"max_excluded": 100000}}, "big.json")
+    assert main(["verify", "domination", "--preset", "tiny", "--config", path]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "domination.max_excluded" in captured.err
+    assert "324" in captured.err
+    assert captured.out == ""
+    path = write_config(
+        tmp_path, {"domination": {"max_excluded": 324, "instances": 1}}, "all.json"
+    )
+    assert main(["verify", "domination", "--preset", "tiny", "--config", path]) != EXIT_CONFIG
+    assert "maxima" in json.loads(capsys.readouterr().out)
+
+
 def test_verify_tolerance_failure_exits_one(tmp_path):
     # an impossible residual bound turns the reconstruction check red
     path = write_config(tmp_path, {"reconstruction": {"sup_max": 1e-12}})

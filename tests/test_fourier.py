@@ -13,7 +13,9 @@ from varcarleson.core import (
     make_signal,
     norm_eval,
 )
+from varcarleson import fourier
 from varcarleson.fourier import (
+    _cutoff_weights,
     carleson_path,
     dft,
     linearized_vc,
@@ -188,6 +190,70 @@ def test_linearized_vc_is_linear_in_signal():
     lhs = linearized_vc(combo, sel).stack()
     rhs = 2.0 * linearized_vc(a, sel).stack() - 1.5j * linearized_vc(b, sel).stack()
     assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def _linearized_oracle(signal, selection):
+    """Oracle: the per-level route, a fresh transform and phase table per level."""
+
+    def stage(cutoffs):
+        spec = dft(signal)
+        x = signal.grid()
+        w = _cutoff_weights(spec.frequencies, cutoffs)
+        phases = np.exp(2j * np.pi * x[:, None] * spec.frequencies[None, :]) * spec.dxi
+        return np.einsum("xk,xk,kd->xd", w, phases, spec.coefficients, optimize=True)
+
+    stages = [stage(selection.levels[:, j]) for j in range(selection.levels.shape[1])]
+    return [stages[j + 1] - stages[j] for j in range(selection.steps)]
+
+
+def _sweep_case():
+    # the ref sweep's shape: constant cutoffs drawn from the frequency grid
+    sig = _random_band(71, n=128, dx=0.125, space=NormedSpace(2, 2.0), band=3.2)
+    freqs = dft(sig).frequencies
+    idx = np.sort(np.random.default_rng(1).choice(freqs.size, size=8, replace=False))
+    return sig, FrequencySelection.constant(freqs[idx], sig.n)
+
+
+def _dual_case():
+    # the dual representation's shape: one increment between two cutoffs
+    sig = _random_band(72, n=256, dx=0.0625, band=0.9)
+    return sig, FrequencySelection.constant([-0.3, 1.7], sig.n)
+
+
+def _per_sample_case():
+    # per-row cutoffs, a third of them exactly on grid frequencies (half weight)
+    sig = _random_band(73, space=NormedSpace(2, 2.0))
+    freqs = dft(sig).frequencies
+    rng = np.random.default_rng(2)
+    rows = rng.uniform(-4.0, 4.0, size=(sig.n, 5))
+    on_grid = rng.random(rows.shape) < 1 / 3
+    rows[on_grid] = rng.choice(freqs, size=int(on_grid.sum()))
+    return sig, FrequencySelection(np.sort(rows, axis=1))
+
+
+@pytest.mark.parametrize(
+    "case", [_sweep_case, _dual_case, _per_sample_case], ids=["sweep", "dual", "per_sample"]
+)
+def test_linearized_vc_matches_per_level_oracle(case):
+    sig, sel = case()
+    seq = linearized_vc(sig, sel)
+    want = _linearized_oracle(sig, sel)
+    assert len(seq) == len(want)
+    for entry, expected in zip(seq.entries, want):
+        assert np.array_equal(entry.values, expected)
+
+
+def test_linearized_vc_makes_one_transform(monkeypatch):
+    sig, sel = _sweep_case()
+    calls = []
+
+    def counting_dft(signal):
+        calls.append(signal)
+        return dft(signal)
+
+    monkeypatch.setattr(fourier, "dft", counting_dft)
+    linearized_vc(sig, sel)
+    assert len(calls) == 1
 
 
 def test_constant_extreme_selection_returns_signal():
