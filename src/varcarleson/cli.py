@@ -60,6 +60,7 @@ from .core import (
 )
 from .embedding import (
     EmbeddingConfig,
+    _check_scales,
     check_domination,
     check_dual_representation,
     domination_dictionaries,
@@ -68,14 +69,10 @@ from .embedding import (
     embed_signal,
     theta_windows,
 )
-from .fourier import (
-    carleson_path,
-    linearized_vc,
-    pointwise_norm_comparison,
-    variational_carleson,
-)
+from .fourier import carleson_path, linearized_vc, pointwise_norm_comparison
 from .outersize import size_holder_check
 from .tfs import StripDictionary, TFSGrid, TreeDictionary
+from .variation import _batched_variation, _check_r
 from .wavepacket import BumpSpec, assemble_m, verify_reconstruction
 
 __all__ = [
@@ -331,6 +328,9 @@ _CORPUS_COUNTS = (
 _VALUE_LISTS = ("sweep.p_values", "sweep.r_values", "sweep.r0_values", "ptnm.s_values")
 # sample counts of signals that go through the radix-2 transform
 _SAMPLE_COUNTS = ("sweep.signal.n", "dual.signal.n", "ptnm.signal.n", "converge.n")
+# sections whose signal is embedded on their TFS grid: the grid's scales must
+# fit the signal's frequency step and band
+_EMBEDDED_SIGNALS = ("holder", "domination", "packets")
 
 
 def _setting(settings: dict, name: str):
@@ -338,6 +338,19 @@ def _setting(settings: dict, name: str):
     for key in name.split("."):
         settings = settings[key]
     return settings
+
+
+def _check_embedded_signal(settings: dict, name: str) -> None:
+    """Reject a signal whose frequency grid or band is too coarse for its TFS scales."""
+    sec = settings[name]
+    n, dx = sec["signal"]["n"], sec["signal"]["dx"]
+    keys = f"config keys '{name}.signal.n', '{name}.signal.dx' and '{name}.grid.t'"
+    if n < 1 or not (math.isfinite(dx) and dx > 0.0):
+        raise ConfigurationError(f"{keys} need n >= 1 and a finite dx > 0, got {n} and {dx}")
+    try:
+        _check_scales(_grid_from(sec["grid"]), n, dx, float(settings["table"]["b"]))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{keys} do not fit together: {exc}") from None
 
 
 def resolve_config(
@@ -367,6 +380,8 @@ def resolve_config(
         n = _setting(settings, name)
         if n < 2 or n & (n - 1):
             raise ConfigurationError(f"config key {name!r} must be a power of two, got {n}")
+    for name in _EMBEDDED_SIGNALS:
+        _check_embedded_signal(settings, name)
     if seed is not None:
         settings["seed"] = seed
     space = NormedSpace(int(settings["space"]["dim"]), float(settings["space"]["exponent"]))
@@ -772,7 +787,7 @@ def run_verify(config: ExperimentConfig, which: str) -> dict:
 def run_convergence(config: ExperimentConfig) -> dict:
     sec = config.settings["converge"]
     n, dx = int(sec["n"]), float(sec["dx"])
-    r = float(config.exponents["r"])
+    r = _check_r(config.exponents["r"])
     nyquist = 0.5 / dx
     lo, hi = (float(v) for v in sec["xi_range"])
     if not (0.0 < lo < hi < nyquist):
@@ -793,8 +808,10 @@ def run_convergence(config: ExperimentConfig) -> dict:
         grid = np.append(cutoffs, nyquist)  # the final cutoff recovers the signal
         path = carleson_path(signal, grid)
         errors = norm_eval(path - signal.values[:, None, :], signal.space).max(axis=0)
+        # the suffix paths are slices of the one path: carleson_path(signal,
+        # grid[k:]) equals path[:, k:, :] exactly
         tails = np.array(
-            [variational_carleson(signal, r, grid[k:]).max() for k in range(cutoffs.size)]
+            [_batched_variation(path[:, k:], signal.space, r).max() for k in range(cutoffs.size)]
         )
         sup_errors = errors[: cutoffs.size]
         for xi, err, tail in zip(cutoffs, sup_errors, tails):

@@ -108,8 +108,9 @@ def analyzing_window(config: EmbeddingConfig, zeta) -> np.ndarray:
     return out
 
 
-def _check_scales(grid: TFSGrid, signal: SampledSignal, b: float) -> None:
-    dxi = 1.0 / (signal.n * signal.dx)
+def _check_scales(grid: TFSGrid, n: int, dx: float, b: float) -> None:
+    """Reject scales that a signal of ``n`` samples spaced ``dx`` cannot resolve."""
+    dxi = 1.0 / (n * dx)
     if grid.t[-1] > b / dxi:
         raise ConfigurationError(
             f"largest scale {grid.t[-1]:.4g} exceeds b/dxi = {b / dxi:.4g}; "
@@ -117,7 +118,7 @@ def _check_scales(grid: TFSGrid, signal: SampledSignal, b: float) -> None:
         )
     # at the smallest scale the window spreads to eta +- 3b/(4t); it must
     # stay inside the band the samples represent
-    margin = 0.5 / signal.dx - float(np.abs(grid.eta).max())
+    margin = 0.5 / dx - float(np.abs(grid.eta).max())
     if 0.75 * b / grid.t[0] > margin:
         raise ConfigurationError(
             f"smallest scale {grid.t[0]:.4g} is undersampled: the window "
@@ -158,7 +159,7 @@ def _spectral_field(signal: SampledSignal, grid: TFSGrid, profile) -> np.ndarray
 
 def embed_signal(signal: SampledSignal, grid: TFSGrid, config: EmbeddingConfig) -> OuterField:
     """Analyzing-window embedding of the signal over the grid."""
-    _check_scales(grid, signal, config.table.spec.b)
+    _check_scales(grid, signal.n, signal.dx, config.table.spec.b)
     values = _spectral_field(
         signal, grid, lambda eta, t, xi: analyzing_window(config, t * (xi - eta))
     )
@@ -182,7 +183,7 @@ def embed_packets(
     the grid sizes and meant for cross-checks on a handful of nodes
     (oracle: used by tests/verify only).
     """
-    _check_scales(grid, signal, table.spec.b)
+    _check_scales(grid, signal.n, signal.dx, table.spec.b)
     if method == "spectral":
         values = _spectral_field(
             signal,
@@ -249,7 +250,7 @@ def embed_packet_sequence(
             f"selection defines {selection.steps} intervals, sequence has "
             f"{len(sequence.entries)} entries"
         )
-    _check_scales(grid, first, table.spec.b)
+    _check_scales(grid, first.n, first.dx, table.spec.b)
     constant = bool(np.all(levels == levels[:1, :]))
     if not constant and method != "direct":
         raise ConfigurationError("per-sample selections need the direct method")

@@ -60,21 +60,42 @@ def _increment_norms(path: Path) -> np.ndarray:
     return norm_eval(pts[None, :, :] - pts[:, None, :], path.space)
 
 
+_BLOCK_ELEMENTS = 1 << 13  # complex increments per norm_eval call in the DP
+
+
 def _batched_variation(path_vals: np.ndarray, space: NormedSpace, r: float) -> np.ndarray:
     """r-variation of (m, K, d) paths along axis 1; one DP for every path.
 
-    ``best[:, j]`` is the largest sum of r-th powers of increment norms over
+    ``best[j]`` is the largest sum of r-th powers of increment norms over
     subsequences ending at index j; each step appends j to the best
-    predecessor.
+    predecessor.  The DP runs on the (K, m, d) transpose.  The increments
+    ``x_i - x_j`` (i < j) of consecutive columns j are stacked into blocks of
+    about ``_BLOCK_ELEMENTS`` complex entries (at least one column), and
+    each block gets one ``norm_eval(...) ** r`` call: few numpy calls, and
+    temporaries that stay cache-sized.
     """
-    m, steps, _ = path_vals.shape
+    m, steps, dim = path_vals.shape
     if steps < 2:
         return np.zeros(m)
-    best = np.zeros((m, steps))
-    for j in range(1, steps):
-        inc = norm_eval(path_vals[:, :j, :] - path_vals[:, j : j + 1, :], space) ** r
-        best[:, j] = (best[:, :j] + inc).max(axis=1)
-    return best.max(axis=1) ** (1.0 / r)
+    x = np.ascontiguousarray(np.moveaxis(path_vals, 1, 0))  # (K, m, d)
+    cap = max(1, _BLOCK_ELEMENTS // (m * dim))  # increments per block
+    best = np.zeros((steps, m))
+    j = 1
+    while j < steps:
+        stop, size = j + 1, j
+        while stop < steps and size + stop <= cap:
+            size += stop
+            stop += 1
+        diff = np.empty((size, m, dim), dtype=complex)
+        offsets = [0]
+        for col in range(j, stop):
+            np.subtract(x[:col], x[col], out=diff[offsets[-1] : offsets[-1] + col])
+            offsets.append(offsets[-1] + col)
+        inc = norm_eval(diff, space) ** r  # (size, m)
+        for col, lo in zip(range(j, stop), offsets):
+            best[col] = (best[:col] + inc[lo : lo + col]).max(axis=0)
+        j = stop
+    return best.max(axis=0) ** (1.0 / r)
 
 
 def variation_norm(path: Path, r: float) -> float:

@@ -329,6 +329,32 @@ def test_sample_count_not_power_of_two_is_rejected(tmp_path, capsys, name, comma
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "section, override, command",
+    [
+        # largest scale 1.6 > b * n * dx = 1.5625
+        ("holder", {"signal": {"n": 100}}, ["verify", "holder"]),
+        # the band 0.5/dx = 2 leaves no headroom beyond the eta range [-2, 2]
+        ("domination", {"signal": {"dx": 0.25}}, ["verify", "domination"]),
+        # largest scale 6.4 > b * n * dx = 2
+        ("packets", {"grid": {"t": [0.4, 6.4, 2.0]}}, ["packets", "dump"]),
+        ("holder", {"signal": {"dx": 0.0}}, ["verify", "holder"]),
+    ],
+    ids=["holder", "domination", "packets", "holder_dx_zero"],
+)
+def test_signal_too_coarse_for_scales_is_rejected(tmp_path, capsys, section, override, command):
+    # the embedding's scale check, run in resolve_config, names the keys that fix it
+    path = write_config(tmp_path, {section: override}, "coarse.json")
+    out = tmp_path / "field.bin"
+    argv = command + ["--preset", "tiny", "--config", path, "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    for key in ("signal.n", "signal.dx", "grid.t"):
+        assert f"{section}.{key}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_max_excluded_above_tree_count_is_rejected(tmp_path, capsys):
     # each domination draw excludes max_excluded distinct trees of each sign,
     # and the tiny dictionaries hold 324 trees per sign

@@ -53,6 +53,54 @@ def test_norm_homogeneity_and_zero():
     assert norm_eval(np.zeros(4), NormedSpace(4, 1.5)) == 0.0
 
 
+def _norm_oracle(v, p):
+    """Oracle: the norm as numpy's reductions over the last axis."""
+    mags = np.abs(np.asarray(v, dtype=complex))
+    if math.isinf(p):
+        return mags.max(axis=-1)
+    if p == 1.0:
+        return mags.sum(axis=-1)
+    if p == 2.0:
+        return np.sqrt((mags * mags).sum(axis=-1))
+    top = mags.max(axis=-1, keepdims=True)
+    safe = np.where(top > 0.0, top, 1.0)
+    return top[..., 0] * ((mags / safe) ** p).sum(axis=-1) ** (1.0 / p)
+
+
+def _norm_inputs(rng, dim):
+    base = rng.standard_normal((6, 40, 2 * dim)) + 1j * rng.standard_normal((6, 40, 2 * dim))
+    base[0, :5] = 0.0  # zero vectors take the top == 0 branch
+    return {
+        "contiguous": np.ascontiguousarray(base[..., :dim]),
+        "strided": base[:, ::3, ::2],  # a non-contiguous view
+        "transposed": np.ascontiguousarray(base[..., :dim].transpose(1, 0, 2)).transpose(1, 0, 2),
+        "vector": base[1, 7, :dim],
+    }
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_norm_fold_equals_numpy_reduction_exactly(dim):
+    # numpy sums fewer than 8 terms left to right, so the fold is bit-identical
+    rng = np.random.default_rng(100 + dim)
+    for p in EXPONENTS + [4.0]:
+        space = NormedSpace(dim, p)
+        for name, v in _norm_inputs(rng, dim).items():
+            got, want = norm_eval(v, space), _norm_oracle(v, p)
+            assert np.array_equal(got, want), (p, name)
+
+
+@pytest.mark.parametrize("dim", [8, 9, 16, 33])
+def test_norm_fold_agrees_with_pairwise_sum_for_long_vectors(dim):
+    # numpy's pairwise sum groups 8 or more terms differently
+    rng = np.random.default_rng(200 + dim)
+    tol = 4 * dim * np.finfo(float).eps
+    for p in EXPONENTS + [4.0]:
+        space = NormedSpace(dim, p)
+        for name, v in _norm_inputs(rng, dim).items():
+            got, want = norm_eval(v, space), _norm_oracle(v, p)
+            assert np.all(np.abs(got - want) <= tol * want), (p, name)
+
+
 def test_holder_pairing_random_pairs():
     rng = np.random.default_rng(23)
     for p in EXPONENTS:

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gamma
 
 from varcarleson.cli import load_calibration
 from varcarleson.core import (
@@ -238,7 +237,7 @@ def test_embed_majorant_kernel_mass(config):
     assert np.abs(m.values.imag).max() == 0.0
     assert m.values.real.min() >= 0.0
     n_pow = config.kernel_power
-    mass = math.sqrt(math.pi) * gamma((n_pow - 1) / 2.0) / gamma(n_pow / 2.0)
+    mass = math.sqrt(math.pi) * math.gamma((n_pow - 1) / 2.0) / math.gamma(n_pow / 2.0)
     want = mass * float(norm_eval(increments[0].values, SPACE).sum() * f.dx)
     for i, k in ((0, 0), (1, 0), (0, 1)):
         got = float(m.values[i, :, k, 0].real.sum() * wide.d_y)

@@ -293,6 +293,59 @@ def test_pointwise_norm_comparison_directions():
             assert rep["sup_normed_minus_sup_lattice"] <= tol
 
 
+def _ptnm_oracle(signal, r, s, candidates, seed):
+    """Oracle: the per-candidate loop, increments rebuilt for every candidate."""
+    path = carleson_path(signal)
+    n, K, _ = path.shape
+    rng = np.random.default_rng(seed)
+    family = [np.arange(K)] + fourier._random_monotone_subsets(rng, K, candidates)
+    outer = NormedSpace(signal.dim, s)
+    sup_lattice = np.zeros(n)
+    sup_normed = np.zeros(n)
+    worst_le = worst_ge = 0.0
+    for idx in family:
+        delta = path[:, idx[1:], :] - path[:, idx[:-1], :]  # (n, L, d)
+        lattice = norm_eval(((np.abs(delta) ** r).sum(axis=1)) ** (1.0 / r), outer)
+        normed = (norm_eval(delta, outer) ** r).sum(axis=1) ** (1.0 / r)
+        worst_le = max(worst_le, float((lattice - normed).max()))
+        worst_ge = max(worst_ge, float((normed - lattice).max()))
+        sup_lattice = np.maximum(sup_lattice, lattice)
+        sup_normed = np.maximum(sup_normed, normed)
+    return {
+        "candidates": len(family),
+        "per_candidate_lattice_minus_normed": worst_le,
+        "per_candidate_normed_minus_lattice": worst_ge,
+        "sup_lattice_minus_sup_normed": float((sup_lattice - sup_normed).max()),
+        "sup_normed_minus_sup_lattice": float((sup_normed - sup_lattice).max()),
+        "scale": float(max(sup_lattice.max(), sup_normed.max())),
+    }
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_pointwise_norm_comparison_matches_per_candidate_oracle(dim):
+    # the ptnm shape (n 64, dx 0.25, 64 cutoffs); s on both sides of r and equal to it
+    for seed in range(4):
+        sig = _random_band(80 + seed, n=64, dx=0.25, space=NormedSpace(dim, 2.0), band=0.9)
+        for r in (1.5, 2.5, 4.0):
+            for s in (1.0, 1.5, 2.5, 4.0, math.inf):
+                fast = pointwise_norm_comparison(sig, r, s, candidates=40, seed=seed)
+                assert fast == _ptnm_oracle(sig, r, s, 40, seed)
+
+
+@pytest.mark.parametrize(
+    "n, dx, hi, points", [(128, 0.125, 3.5, 12), (256, 0.0625, 6.0, 25), (256, 0.0625, 6.0, 49)]
+)
+def test_carleson_path_suffixes_are_slices(n, dx, hi, points):
+    # vc converge takes every suffix tail from one path (the converge grids of
+    # tiny, ref and fine); the slices must equal the suffix grids' paths exactly
+    sig = _random_band(91, n=n, dx=dx, space=NormedSpace(2, 2.0), band=0.5)
+    nyquist = 0.5 / dx
+    grid = np.append(np.linspace(0.25, hi, points), nyquist)
+    path = carleson_path(sig, grid)
+    for k in range(points):
+        assert np.array_equal(path[:, k:], carleson_path(sig, grid[k:]))
+
+
 def test_variation_domain_error():
     sig = _gaussian(n=64, dx=1 / 8)
     with pytest.raises(ValueError):

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varcarleson.core import NormedSpace, norm_eval
-from varcarleson.variation import Path, variation_norm, variation_norm_bruteforce
+from varcarleson.variation import (
+    Path,
+    _batched_variation,
+    variation_norm,
+    variation_norm_bruteforce,
+)
 
 
 def _path(points, p=2.0):
@@ -137,3 +142,41 @@ def test_triangle_in_path_concatenation(xs):
     path_all = _path(pts)
     path_head = _path(pts[:-1]) if len(xs) > 2 else _path(pts[:1])
     assert variation_norm(path_all, 2.0) >= variation_norm(path_head, 2.0) - 1e-12
+
+
+def _per_column_dp_oracle(path_vals, space, r):
+    """Oracle: the DP one column at a time on the (m, K, d) layout, one norm_eval per column."""
+    m, steps, _ = path_vals.shape
+    if steps < 2:
+        return np.zeros(m)
+    best = np.zeros((m, steps))
+    for j in range(1, steps):
+        inc = norm_eval(path_vals[:, :j, :] - path_vals[:, j : j + 1, :], space) ** r
+        best[:, j] = (best[:, :j] + inc).max(axis=1)
+    return best.max(axis=1) ** (1.0 / r)
+
+
+# at m = 256, d = 2 a block holds 16 increments: columns 1-5, 6-7, then one per
+# column, so K = 6, 7, 8 and 9 end on either side of a block boundary
+@pytest.mark.parametrize("steps", [1, 2, 3, 6, 7, 8, 9, 26])
+@pytest.mark.parametrize("p", [1.0, 2.0, 1.5, math.inf])
+def test_blocked_dp_matches_per_column_oracle(steps, p):
+    rng = np.random.default_rng(7 * steps + int(min(p, 9)))
+    space = NormedSpace(2, p)
+    x = rng.standard_normal((256, steps, 2)) + 1j * rng.standard_normal((256, steps, 2))
+    for r in (1.0, 2.0, 2.5, 4.0):
+        assert np.array_equal(_batched_variation(x, space, r), _per_column_dp_oracle(x, space, r))
+    # a non-contiguous slice, as the converge tails pass it
+    assert np.array_equal(
+        _batched_variation(x[:, 1:], space, 2.5), _per_column_dp_oracle(x[:, 1:], space, 2.5)
+    )
+
+
+def test_blocked_dp_matches_per_column_oracle_random_shapes():
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        m, steps, d = (int(v) for v in rng.integers(1, [300, 40, 5]))
+        space = NormedSpace(d, float(rng.choice([1.0, 2.0, 1.5, np.inf])))
+        r = float(rng.uniform(1.0, 4.0))
+        x = rng.standard_normal((m, steps, d)) + 1j * rng.standard_normal((m, steps, d))
+        assert np.array_equal(_batched_variation(x, space, r), _per_column_dp_oracle(x, space, r))
