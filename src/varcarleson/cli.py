@@ -323,6 +323,23 @@ _CORPUS_COUNTS = (
     "reconstruction.points",
     "converge.points",
 )
+# strides through the grid when placing dictionary tops: a negative stride
+# would reverse the tops and a zero one cannot slice
+_STRIDES = (
+    "holder.eta_stride",
+    "holder.y_stride",
+    "holder.strip_stride",
+    "domination.eta_stride",
+    "domination.y_stride",
+)
+# [lo, hi] ranges and the order their ends must keep: the dual scales span a
+# geometric ladder, the domination cutoff and gap draws may be one point, and
+# a zero gap would draw an empty interval
+_RANGES = (
+    ("dual.t_range", "0 < lo < hi", lambda lo, hi: 0.0 < lo < hi),
+    ("domination.cut_lo", "lo <= hi", lambda lo, hi: lo <= hi),
+    ("domination.gap", "0 < lo <= hi", lambda lo, hi: 0.0 < lo <= hi),
+)
 # exponent lists that must not be empty: an empty one would run no check and
 # pass vacuously
 _VALUE_LISTS = ("sweep.p_values", "sweep.r_values", "sweep.r0_values", "ptnm.s_values")
@@ -338,6 +355,18 @@ def _setting(settings: dict, name: str):
     for key in name.split("."):
         settings = settings[key]
     return settings
+
+
+def _check_range(settings: dict, name: str, order: str, holds) -> None:
+    """Reject a range that is not two finite numbers in the given order."""
+    value = _setting(settings, name)
+    numbers = len(value) == 2 and all(
+        type(v) in (int, float) and math.isfinite(v) for v in value
+    )
+    if not (numbers and holds(*value)):
+        raise ConfigurationError(
+            f"config key {name!r} must be [lo, hi] with {order}, got {json.dumps(value)}"
+        )
 
 
 def _check_embedded_signal(settings: dict, name: str) -> None:
@@ -369,10 +398,17 @@ def resolve_config(
         if not isinstance(override, dict):
             raise ConfigurationError(f"config file {config_path} must hold a JSON object")
         settings = _deep_merge(settings, override)
-    for name in _CORPUS_COUNTS:
+    for name in _CORPUS_COUNTS + _STRIDES:
         count = _setting(settings, name)
         if count < 1:
             raise ConfigurationError(f"config key {name!r} must be at least 1, got {count}")
+    candidates = settings["ptnm"]["candidates"]
+    if candidates < 0:
+        raise ConfigurationError(
+            f"config key 'ptnm.candidates' must be at least 0, got {candidates}"
+        )
+    for name, order, holds in _RANGES:
+        _check_range(settings, name, order, holds)
     for name in _VALUE_LISTS:
         if not _setting(settings, name):
             raise ConfigurationError(f"config key {name!r} must list at least one value")

@@ -354,6 +354,8 @@ def check_dual_representation(
     c_lo, c_hi = map(float, interval)
     if not (math.isfinite(c_lo) and math.isfinite(c_hi) and c_lo < c_hi):
         raise ConfigurationError(f"need a bounded interval, got {interval}")
+    if not (0.0 < t_min < t_max < math.inf):
+        raise ConfigurationError(f"need 0 < t_min < t_max < inf, got {t_min} and {t_max}")
     if t_steps < 8 or eta_per_window < 2:
         raise ConfigurationError("need t_steps >= 8 and eta_per_window >= 2")
 
@@ -430,10 +432,8 @@ def check_domination(
     grid: TFSGrid,
     config: EmbeddingConfig,
     *,
+    dictionaries: dict,
     excluded: np.ndarray | None = None,
-    dictionaries: dict | None = None,
-    eta_stride: int = 2,
-    y_stride: int = 2,
 ) -> dict:
     """Masked outer-size comparison of packet embeddings against the majorant.
 
@@ -445,10 +445,10 @@ def check_domination(
     under both readings of its mask: zeroed on the same excluded union
     ("masked") and left whole ("full").  A zero denominator against a
     nonzero numerator is flagged as a violation; zero against zero counts
-    as vacuous.
+    as vacuous.  ``dictionaries`` maps each sign to its tree dictionary, as
+    built by :func:`domination_dictionaries`.
     """
     table = config.table
-    first = sequence.entries[0]
     levels = selection.levels
     if selection.steps != len(sequence.entries):
         raise ValueError(
@@ -457,10 +457,6 @@ def check_domination(
         )
     if excluded is not None and excluded.shape != grid.shape:
         raise ValueError(f"excluded mask shape {excluded.shape} != grid shape {grid.shape}")
-    if dictionaries is None:
-        dictionaries = domination_dictionaries(
-            grid, table, eta_stride=eta_stride, y_stride=y_stride
-        )
     keep = None if excluded is None else ~excluded
     out: dict = {}
     vacuous = True

@@ -239,6 +239,8 @@ def pointwise_norm_comparison(
     s = float(s)
     if not (s >= 1.0):
         raise ValueError(f"outer exponent must satisfy s >= 1, got {s}")
+    if candidates < 0:
+        raise ValueError(f"candidate count must be at least 0, got {candidates}")
     path = carleson_path(signal, xi_grid)
     n, K, _ = path.shape
     rng = np.random.default_rng(seed)

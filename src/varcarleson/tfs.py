@@ -239,11 +239,20 @@ def strip_membership(grid: TFSGrid, strip: Strip) -> np.ndarray:
     return _strip_incidence(grid, (strip,))[0]
 
 
-def _scale_ladder(t_min: float, t_max: float, factor: float, extra: int) -> np.ndarray:
-    if factor <= 1.0:
-        raise ConfigurationError(f"scale factor must exceed 1, got {factor}")
-    count = int(math.ceil(math.log(t_max / t_min) / math.log(factor))) + 1 + extra
-    return t_min * factor ** np.arange(1, count + 1)
+_SCALE_FACTOR = 2.0  # ratio of consecutive dictionary top scales
+_EXTRA_SCALES = 1  # top scales beyond the first one above the grid's largest t
+
+
+def _scale_ladder(t_min: float, t_max: float) -> np.ndarray:
+    rungs = math.ceil(math.log(t_max / t_min) / math.log(_SCALE_FACTOR))
+    count = rungs + 1 + _EXTRA_SCALES
+    return t_min * _SCALE_FACTOR ** np.arange(1, count + 1)
+
+
+def _check_strides(**strides) -> None:
+    for name, stride in strides.items():
+        if stride < 1:
+            raise ConfigurationError(f"{name} must be at least 1, got {stride}")
 
 
 def _covering(elements: list, full: np.ndarray, what: str) -> tuple:
@@ -296,10 +305,9 @@ class TreeDictionary:
         *,
         eta_stride: int = 1,
         y_stride: int = 1,
-        scale_factor: float = 2.0,
-        extra_scales: int = 1,
     ) -> "TreeDictionary":
-        scales = _scale_ladder(grid.t[0], grid.t[-1], scale_factor, extra_scales)
+        _check_strides(eta_stride=eta_stride, y_stride=y_stride)
+        scales = _scale_ladder(grid.t[0], grid.t[-1])
         trees = [
             Tree(float(xi), float(x), float(s), theta, theta_in)
             for s in scales
@@ -354,10 +362,9 @@ class StripDictionary:
         grid: TFSGrid,
         *,
         y_stride: int = 1,
-        scale_factor: float = 2.0,
-        extra_scales: int = 1,
     ) -> "StripDictionary":
-        scales = _scale_ladder(grid.t[0], grid.t[-1], scale_factor, extra_scales)
+        _check_strides(y_stride=y_stride)
+        scales = _scale_ladder(grid.t[0], grid.t[-1])
         strips = [Strip(float(x), float(s)) for s in scales for x in grid.y[::y_stride]]
         kept, masks = _covering(strips, _strip_incidence(grid, strips), "strip")
         return cls(grid=grid, strips=kept, masks=masks)

@@ -17,7 +17,9 @@ Construction chain:
 * ``m = m_plus + m_minus`` with ``m_minus(xi) = m_plus(1 - xi)`` is positive,
   symmetric about 1/2, and exactly constant outside ``B_{b/2}(1/2)``; it is
   extended by that constant outside ``(0, 1)``.  :class:`MultiplierTable`
-  stores sampled values with a cubic spline for the transition zone.
+  stores sampled values with a cubic spline for the transition zone.  That
+  table and the ``chi_plus`` one use the package's own not-a-knot cubic
+  spline (:class:`_NotAKnotSpline`, numpy only).
 * ``packet_hat`` builds the Fourier profile of a truncated wave packet for a
   frequency interval ``(c_minus, c_plus)`` at modulation/scale ``(eta, t)``:
   ``chi``/``chi_minus`` windows in ``eta`` times ``phi_hat / m``.  Summing
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline
 
 from .core import ConfigurationError
 
@@ -50,6 +51,56 @@ __all__ = [
 ]
 
 _CDF_KNOTS = 8193  # bump antiderivative table; trapezoid on a C_c^inf integrand
+
+
+class _NotAKnotSpline:
+    """Cubic spline through (x, y) with not-a-knot ends (de Boor, ch. IV).
+
+    The knot slopes solve the tridiagonal C^2 system, whose end rows ask
+    the first two (last two) cubic pieces to be one polynomial, eliminated
+    down to two unknowns each.  A Thomas sweep solves it without pivoting:
+    the interior rows are diagonally dominant and the last pivot stays near
+    0.46 dx on uniform knots.  Needs at least 4 ascending knots;
+    evaluation is meant for points inside ``[x[0], x[-1]]`` (outside it
+    extends the end pieces).
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        # row i: lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]
+        lower = np.concatenate([[0.0], dx[1:], [x[-1] - x[-3]]])
+        diag = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]])
+        upper = np.concatenate([[x[2] - x[0]], dx[:-1], [0.0]])
+        rhs = np.empty(x.size)
+        rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        d = upper[0]
+        rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        d = lower[-1]
+        rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        lower, diag, upper, rhs = (v.tolist() for v in (lower, diag, upper, rhs))
+        for i in range(1, len(diag)):
+            w = lower[i] / diag[i - 1]
+            diag[i] -= w * upper[i - 1]
+            rhs[i] -= w * rhs[i - 1]
+        s = [0.0] * len(diag)
+        s[-1] = rhs[-1] / diag[-1]
+        for i in range(len(diag) - 2, -1, -1):
+            s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
+        s = np.array(s)
+        t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+        self.x = x
+        # Hermite form: piece i is c0 h^3 + c1 h^2 + c2 h + c3 in h = z - x[i]
+        self.coefficients = (t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])
+
+    def __call__(self, z) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        i = np.clip(np.searchsorted(self.x, z, "right") - 1, 0, self.x.size - 2)
+        h = z - self.x[i]
+        c0, c1, c2, c3 = (c[i] for c in self.coefficients)
+        return ((c0 * h + c1) * h + c2) * h + c3
 
 
 @dataclass(frozen=True)
@@ -83,10 +134,10 @@ def _bump(u: np.ndarray) -> np.ndarray:
 class Bumps:
     """Evaluators chi, chi_plus, chi_minus, phi_hat for one BumpSpec.
 
-    chi_plus interpolates a symmetrized cumulative table with a cubic
-    spline, clamped to exactly 0 below -eps and exactly 1 above +eps, so
-    that the partition identity chi_plus + chi_minus == 1 and the support
-    statements hold to machine precision.  Obtain instances through
+    chi_plus interpolates a symmetrized cumulative table with the package's
+    not-a-knot cubic spline, clamped to exactly 0 below -eps and exactly 1
+    above +eps, so that the partition identity chi_plus + chi_minus == 1 and
+    the support statements hold to machine precision.  Obtain instances through
     :func:`build_bumps`, which builds the table once per spec.
     """
 
@@ -98,8 +149,7 @@ class Bumps:
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(z))])
         total = cdf[-1]
         sym = 0.5 * (cdf + (total - cdf[::-1])) / total  # enforce S(z) + S(-z) = 1
-        self._chi_mass = total
-        self._cdf_spline = CubicSpline(z, sym)
+        self._cdf_spline = _NotAKnotSpline(z, sym)
 
     def chi(self, z) -> np.ndarray:
         return _bump(np.asarray(z, dtype=float) / self.spec.eps)
@@ -212,8 +262,9 @@ class MultiplierTable:
 
     ``m`` is exactly the constant ``m0`` outside the transition zone
     ``B_{b/2}(1/2)`` (validated against the raw quadrature, then snapped);
-    inside the zone a cubic spline through the symmetrized samples is used.
-    Evaluation extends by ``m0`` beyond the tabulated range.
+    inside the zone the package's not-a-knot cubic spline through the
+    symmetrized samples is used.  Evaluation extends by ``m0`` beyond the
+    tabulated range.
     """
 
     spec: BumpSpec
@@ -226,7 +277,7 @@ class MultiplierTable:
             arr = np.ascontiguousarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_spline", CubicSpline(self.xi_grid, self.m_values))
+        object.__setattr__(self, "_spline", _NotAKnotSpline(self.xi_grid, self.m_values))
 
     @property
     def zone(self) -> tuple:

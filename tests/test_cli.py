@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,6 +357,55 @@ def test_signal_too_coarse_for_scales_is_rejected(tmp_path, capsys, section, ove
         assert f"{section}.{key}" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, command, values",
+    [
+        pytest.param(name, command, values, id=name)
+        for name, command, values in (
+            # a negative stride reverses the dictionary tops, a zero one cannot slice
+            ("holder.eta_stride", ["verify", "holder"], [-1, 0]),
+            ("holder.y_stride", ["verify", "holder"], [-1, 0]),
+            ("holder.strip_stride", ["verify", "holder"], [-1, 0]),
+            ("domination.eta_stride", ["verify", "domination"], [-1, 0]),
+            ("domination.y_stride", ["verify", "domination"], [-1, 0]),
+            # a reversed scale range would pose as a tolerance failure
+            ("dual.t_range", ["verify", "dual"], [[0.75, 0.25], [-0.25, 0.75], [0.5, 0.5],
+                                                  [0.25], [0.25, "x"]]),
+            ("domination.cut_lo", ["verify", "domination"], [[-2.0, -2.25]]),
+            ("domination.gap", ["verify", "domination"], [[4.5, 3.5], [-1.0, 3.5], [0, 3.5]]),
+            ("ptnm.candidates", ["verify", "ptnm"], [-1]),
+        )
+    ],
+)
+def test_out_of_range_setting_is_rejected(tmp_path, capsys, name, command, values):
+    section, key = name.split(".")
+    for value in values:
+        path = write_config(tmp_path, {section: {key: value}}, "range.json")
+        assert main(command + ["--preset", "tiny", "--config", path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert name in captured.err
+        assert captured.out == ""
+
+
+def test_runs_without_scipy(tmp_path):
+    # the package needs numpy alone: importing the CLI loads no scipy, and
+    # the two checks that read the spline tables run with scipy blocked
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    plain = "import sys, varcarleson.cli; assert 'scipy' not in sys.modules, 'scipy loaded'"
+    blocked = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from varcarleson import cli\n"
+        "for which in ('dual', 'reconstruction'):\n"
+        "    assert cli.main(['verify', which, '--preset', 'tiny']) == 0, which\n"
+    )
+    for script in (plain, blocked):
+        done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 def test_max_excluded_above_tree_count_is_rejected(tmp_path, capsys):

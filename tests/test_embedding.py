@@ -374,6 +374,15 @@ def test_dual_representation_validation(table):
         check_dual_representation(f, other, (-2.5, 2.5), table)
 
 
+@pytest.mark.parametrize(
+    "t_min, t_max", [(0.75, 0.25), (0.5, 0.5), (-0.25, 0.75), (0.25, math.inf)]
+)
+def test_dual_representation_rejects_bad_scale_range(table, t_min, t_max):
+    f, g = dual_rep_signals()
+    with pytest.raises(ConfigurationError, match="t_min"):
+        check_dual_representation(f, g, (-2.5, 2.5), table, t_min=t_min, t_max=t_max)
+
+
 def build_calibrated_grid(entry):
     eta = entry["eta"]
     y = entry["y"]

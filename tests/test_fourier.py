@@ -293,6 +293,13 @@ def test_pointwise_norm_comparison_directions():
             assert rep["sup_normed_minus_sup_lattice"] <= tol
 
 
+def test_pointwise_norm_comparison_rejects_negative_candidate_count():
+    sig = _random_band(61, space=NormedSpace(2, 2.0))
+    with pytest.raises(ValueError, match="candidate"):
+        pointwise_norm_comparison(sig, 2.0, 2.0, candidates=-1)
+    assert pointwise_norm_comparison(sig, 2.0, 2.0, candidates=0)["candidates"] == 1
+
+
 def _ptnm_oracle(signal, r, s, candidates, seed):
     """Oracle: the per-candidate loop, increments rebuilt for every candidate."""
     path = carleson_path(signal)

@@ -187,9 +187,25 @@ def test_incidence_rows_are_memberships(section):
 
 
 def test_dictionary_coverage_failure_raises():
+    # strip tops at y = -8 and 8 only: the widest strip, at scale 3.2, leaves
+    # the middle of the y axis uncovered
     grid = TFSGrid.build((-8.0, 8.0), 17, (-8.0, 8.0), 17, 0.1, 0.8, 2.0)
-    with pytest.raises(ConfigurationError):
-        StripDictionary.build(grid, y_stride=16, extra_scales=0)
+    with pytest.raises(ConfigurationError, match="does not cover"):
+        StripDictionary.build(grid, y_stride=16)
+    with pytest.raises(ConfigurationError, match="does not cover"):
+        TreeDictionary.build(grid, THETA, THETA_IN, y_stride=16)
+    StripDictionary.build(grid, y_stride=4)
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+def test_dictionary_stride_below_one_is_rejected(stride):
+    # a negative stride would reverse the tops, a zero one cannot slice
+    grid = small_grid()
+    for name in ("eta_stride", "y_stride"):
+        with pytest.raises(ConfigurationError, match=name):
+            TreeDictionary.build(grid, THETA, THETA_IN, **{name: stride})
+    with pytest.raises(ConfigurationError, match="y_stride"):
+        StripDictionary.build(grid, y_stride=stride)
 
 
 def test_field_validation_and_restrict():

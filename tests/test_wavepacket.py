@@ -141,6 +141,68 @@ def test_assemble_construction_defect_is_a_program_error(monkeypatch):
     assert not isinstance(err.value, ConfigurationError)
 
 
+def _knot_sets():
+    rng = np.random.default_rng(3)
+    uniform = np.linspace(-1.0, 2.0, 41)
+    nonuniform = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.5, 40))])
+    return {"uniform": uniform, "nonuniform": nonuniform}
+
+
+def _piece_derivatives(spline, h):
+    """Value and first three derivatives of every cubic piece at offsets h."""
+    c0, c1, c2, c3 = spline.coefficients
+    return (
+        ((c0 * h + c1) * h + c2) * h + c3,
+        (3.0 * c0 * h + 2.0 * c1) * h + c2,
+        6.0 * c0 * h + 2.0 * c1,
+        6.0 * c0,
+    )
+
+
+@pytest.mark.parametrize("knots", ["uniform", "nonuniform"])
+def test_spline_interpolates_with_c2_joins_and_not_a_knot_ends(knots):
+    x = _knot_sets()[knots]
+    y = np.sin(3.0 * x) + np.random.default_rng(4).normal(scale=0.3, size=x.size)
+    spline = wavepacket._NotAKnotSpline(x, y)
+    values = spline(x)
+    assert np.array_equal(values[:-1], y[:-1])  # h = 0 returns the knot value
+    assert values[-1] == pytest.approx(y[-1], rel=0.0, abs=1e-13)
+    # each piece's right end against the next piece's left end
+    ends = _piece_derivatives(spline, np.diff(x))
+    starts = _piece_derivatives(spline, np.zeros(x.size - 1))
+    for order in range(3):
+        scale = np.abs(starts[order]).max()
+        assert np.abs(ends[order][:-1] - starts[order][1:]).max() <= 1e-12 * scale
+    # not-a-knot: the third derivative is also continuous at x[1] and x[-2]
+    third = starts[3]
+    assert abs(third[0] - third[1]) <= 1e-10 * np.abs(third).max()
+    assert abs(third[-2] - third[-1]) <= 1e-10 * np.abs(third).max()
+    assert abs(third[0] - third[1]) < 1e-6 * abs(third[1] - third[2])  # not a mere C^2 join
+
+
+@pytest.mark.parametrize("knots", ["uniform", "nonuniform"])
+def test_spline_reproduces_cubics(knots):
+    x = _knot_sets()[knots]
+    cubic = np.polynomial.Polynomial([0.7, -1.3, 0.4, 0.25])
+    spline = wavepacket._NotAKnotSpline(x, cubic(x))
+    z = np.concatenate([x, np.random.default_rng(6).uniform(x[0], x[-1], 2001)])
+    scale = np.abs(cubic(z)).max()
+    assert np.abs(spline(z) - cubic(z)).max() <= 1e-13 * scale
+
+
+def test_spline_tables_hold_their_knots(table):
+    # both wave-packet tables go through the package's spline
+    knots = table._spline.x
+    assert np.array_equal(knots, table.xi_grid)
+    assert np.abs(table._spline(knots) - table.m_values).max() <= 1e-15 * table.m0
+    cdf = build_bumps(table.spec)._cdf_spline
+    knots = cdf.x
+    assert knots.size == wavepacket._CDF_KNOTS
+    assert cdf(knots[0]) == 0.0
+    assert cdf(knots[-1]) == pytest.approx(1.0, rel=0.0, abs=1e-15)
+    assert np.all(np.diff(cdf(knots)) >= 0.0)
+
+
 def test_packet_domain_errors(table):
     with pytest.raises(ValueError):
         packet_hat(table, (1.0, 0.5), 1.0, 1.0, 0.0)
