@@ -332,10 +332,27 @@ _STRIDES = (
     "domination.eta_stride",
     "domination.y_stride",
 )
-# [lo, hi] ranges and the order their ends must keep: the dual scales span a
-# geometric ladder, the domination cutoff and gap draws may be one point, and
-# a zero gap would draw an empty interval
+# quadrature and refinement sizes below which the dual representation and the
+# reconstruction check have no rule to run
+_RULE_SIZES = (
+    ("dual.t_steps", 8),
+    ("dual.eta_per_window", 2),
+    ("reconstruction.cells", 2),
+    ("reconstruction.refine", 2),
+)
+# integer settings and the least value each may take
+_LEAST = (
+    tuple((name, 1) for name in _CORPUS_COUNTS + _STRIDES)
+    + (("ptnm.candidates", 0),)
+    + _RULE_SIZES
+)
+# [lo, hi] ranges and the order their ends must keep: frequency intervals are
+# nonempty, the dual scales span a geometric ladder, the domination cutoff and
+# gap draws may be one point, and a zero gap would draw an empty interval
 _RANGES = (
+    ("reconstruction.interval", "lo < hi", lambda lo, hi: lo < hi),
+    ("dual.interval", "lo < hi", lambda lo, hi: lo < hi),
+    ("packets.interval", "lo < hi", lambda lo, hi: lo < hi),
     ("dual.t_range", "0 < lo < hi", lambda lo, hi: 0.0 < lo < hi),
     ("domination.cut_lo", "lo <= hi", lambda lo, hi: lo <= hi),
     ("domination.gap", "0 < lo <= hi", lambda lo, hi: 0.0 < lo <= hi),
@@ -382,6 +399,25 @@ def _check_embedded_signal(settings: dict, name: str) -> None:
         raise ConfigurationError(f"{keys} do not fit together: {exc}") from None
 
 
+def _draw_cells(sec: dict, name: str) -> tuple:
+    """The frequency cell 1/(n dx) of the section's signal and the range ``name`` in cells."""
+    dxi = 1.0 / (int(sec["signal"]["n"]) * float(sec["signal"]["dx"]))
+    return dxi, [int(round(v / dxi)) for v in sec[name]]
+
+
+def _check_gap_cells(sec: dict) -> None:
+    """Reject a domination gap that rounds to 0 frequency cells: it draws empty intervals.
+
+    The cutoff needs no such check: rounding keeps the order of its ends.
+    """
+    dxi, cells = _draw_cells(sec, "gap")
+    if cells[0] < 1:
+        raise ConfigurationError(
+            f"config key 'domination.gap' must span at least one frequency cell "
+            f"1/(n dx) = {dxi:g}, got {json.dumps(sec['gap'])} as {cells} cells"
+        )
+
+
 def resolve_config(
     experiment: str,
     preset: str = "ref",
@@ -398,15 +434,10 @@ def resolve_config(
         if not isinstance(override, dict):
             raise ConfigurationError(f"config file {config_path} must hold a JSON object")
         settings = _deep_merge(settings, override)
-    for name in _CORPUS_COUNTS + _STRIDES:
+    for name, least in _LEAST:
         count = _setting(settings, name)
-        if count < 1:
-            raise ConfigurationError(f"config key {name!r} must be at least 1, got {count}")
-    candidates = settings["ptnm"]["candidates"]
-    if candidates < 0:
-        raise ConfigurationError(
-            f"config key 'ptnm.candidates' must be at least 0, got {candidates}"
-        )
+        if count < least:
+            raise ConfigurationError(f"config key {name!r} must be at least {least}, got {count}")
     for name, order, holds in _RANGES:
         _check_range(settings, name, order, holds)
     for name in _VALUE_LISTS:
@@ -418,6 +449,7 @@ def resolve_config(
             raise ConfigurationError(f"config key {name!r} must be a power of two, got {n}")
     for name in _EMBEDDED_SIGNALS:
         _check_embedded_signal(settings, name)
+    _check_gap_cells(settings["domination"])
     if seed is not None:
         settings["seed"] = seed
     space = NormedSpace(int(settings["space"]["dim"]), float(settings["space"]["exponent"]))
@@ -687,11 +719,9 @@ def domination_instance(
     dictionaries: dict,
 ):
     """One random (sequence, selection, excluded-union) draw."""
-    sig = sec["signal"]
-    dxi = 1.0 / (int(sig["n"]) * float(sig["dx"]))
-    g = _band_signal(sig, space, int(rng.integers(0, 2**63 - 1)))
-    lo_cells = [int(round(v / dxi)) for v in sec["cut_lo"]]
-    gap_cells = [int(round(v / dxi)) for v in sec["gap"]]
+    g = _band_signal(sec["signal"], space, int(rng.integers(0, 2**63 - 1)))
+    dxi, lo_cells = _draw_cells(sec, "cut_lo")
+    _, gap_cells = _draw_cells(sec, "gap")
     lo = dxi * float(rng.integers(lo_cells[0], lo_cells[1] + 1))
     gap = dxi * float(rng.integers(gap_cells[0], gap_cells[1] + 1))
     selection = FrequencySelection.constant([lo, lo + gap], g.n)

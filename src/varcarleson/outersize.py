@@ -12,6 +12,14 @@ same engine at strip level with the strip-localized, scale-normalized inner
 quasinorm as the size; each strip's inner cover runs on only the trees that
 meet the strip.  Sum terms of a size read the boolean incidence directly; the
 max term reads the per-row cell index derived from it.
+
+Each quasinorm call builds the field's size terms once, and the top and the
+cover share them.  A strip's densities are the field's densities zeroed off
+the strip's live cells, which equals restricting the field, since every term
+is per cell and a zeroed cell gives exact zeros.  ``tests/test_outersize.py``
+pins both against the restricted-field route
+(``test_zeroed_terms_match_restricted_field``) and the argmax pick against
+the full tie-rule lexsort (``test_lex_pick_matches_full_lexsort``).
 """
 
 from __future__ import annotations
@@ -80,34 +88,39 @@ class SizeSpec:
             raise ConfigurationError(f"size kind {self.kind!r} takes no exponent")
 
 
-def _elements(dictionary):
-    return dictionary.trees if isinstance(dictionary, TreeDictionary) else dictionary.strips
-
-
-def _measures(dictionary) -> np.ndarray:
-    return np.array([e.s for e in _elements(dictionary)])
-
-
-def _terms(field: OuterField, norms: np.ndarray, spec: SizeSpec) -> list:
-    """The size as a sum of (region, exponent, density) terms over flat cells.
+def _size_terms(field: OuterField, spec: SizeSpec) -> tuple:
+    """The flat cell norms of the field and its size as (region, exponent, density) terms.
 
     A finite exponent p makes a term (region sum of the density / measure)^(1/p)
     with the density already raised to p; p = inf makes it the region max of
     the density.  ``r`` is the energy term alone; ``f`` and ``fstar`` add the
-    sup over the full tree or the L1 average over the in part to it.
+    sup over the full tree or the L1 average over the in part to it.  Every
+    density is a per-cell value, so a field zeroed off some cells has exactly
+    the terms of :func:`_zeroed`.
     """
+    norms = field.norms().ravel()
     weights = field.grid.cell_weights().ravel()
 
     def lp(exponent: float, region: str) -> tuple:
         return (region, exponent, norms if math.isinf(exponent) else weights * norms**exponent)
 
     if spec.kind == "lp":
-        return [lp(spec.exponent, spec.region)]
+        return norms, [lp(spec.exponent, spec.region)]
     # energy density through the duality pairing, not the norm evaluator
     quad = np.real(duality_pairing(field.values, field.values)).ravel()
     energy = ("out", 2.0, weights * quad)
     extra = {"r": [], "f": [lp(math.inf, "full")], "fstar": [lp(1.0, "in")]}
-    return [energy] + extra[spec.kind]
+    return norms, [energy] + extra[spec.kind]
+
+
+def _zeroed(keep: np.ndarray, norms: np.ndarray, terms: list) -> tuple:
+    """Norms and terms of the field zeroed off the flat cell mask ``keep``.
+
+    Equal to the terms of ``field.restrict(keep)``: a zeroed cell has norm,
+    pairing and weighted power exactly 0, and a kept cell keeps its value.
+    """
+    zeroed = [(region, exponent, np.where(keep, dens, 0.0)) for region, exponent, dens in terms]
+    return np.where(keep, norms, 0.0), zeroed
 
 
 def _region_max(dictionary: TreeDictionary, region: str, density: np.ndarray) -> np.ndarray:
@@ -120,11 +133,11 @@ def _region_max(dictionary: TreeDictionary, region: str, density: np.ndarray) ->
     return np.maximum.reduceat(np.append(density, 0.0)[index], starts)
 
 
-def _sizes_over(field: OuterField, dictionary, spec: SizeSpec) -> np.ndarray:
+def _sizes_over(dictionary, terms: list) -> np.ndarray:
     """Local sizes of every dictionary element, one pass over each term's incidence."""
-    measures = _measures(dictionary)
+    measures = dictionary.scales
     parts = []
-    for region, exponent, density in _terms(field, field.norms().ravel(), spec):
+    for region, exponent, density in terms:
         if math.isinf(exponent):
             parts.append(_region_max(dictionary, region, density))
         else:
@@ -183,7 +196,7 @@ def local_size(field: OuterField, element, spec: SizeSpec) -> float:
 
 def outer_size(field: OuterField, dictionary: TreeDictionary, spec: SizeSpec) -> float:
     """Outer essential supremum: the largest local size over the dictionary (0 if empty)."""
-    return float(_sizes_over(field, dictionary, spec).max(initial=0.0))
+    return float(_sizes_over(dictionary, _size_terms(field, spec)[1]).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -211,8 +224,9 @@ class _LinearPiece:
         self.colmap = np.full(stack.shape[1], -1)
         self.colmap[support] = np.arange(support.size)
         self.mat = np.ascontiguousarray(stack[:, support])
-        self.density = density[support]
-        acc = self.mat @ np.stack([self.density, np.ones(support.size)], axis=1)
+        # per supported cell its density and a 1 that counts it
+        self.rhs = np.stack([density[support], np.ones(support.size)], axis=1)
+        acc = self.mat @ self.rhs
         self.numerators = acc[:, 0].copy()
         self.counts = np.rint(acc[:, 1]).astype(np.int64)
 
@@ -221,7 +235,7 @@ class _LinearPiece:
         cols = cols[cols >= 0]
         if cols.size == 0:
             return
-        acc = self.mat[:, cols] @ np.stack([self.density[cols], np.ones(cols.size)], axis=1)
+        acc = self.mat[:, cols] @ self.rhs[cols]
         self.numerators -= acc[:, 0]
         self.counts -= np.rint(acc[:, 1]).astype(np.int64)
 
@@ -231,13 +245,12 @@ class _LinearPiece:
         return out
 
 
-def _spec_state(field: OuterField, dictionary, spec: SizeSpec, alive: np.ndarray):
+def _spec_state(dictionary, norms: np.ndarray, terms: list, alive: np.ndarray):
     """Incremental sizes of every element as cells leave ``alive``."""
-    norms = field.norms().ravel()
     support = np.flatnonzero(norms > 0.0)
-    measures = _measures(dictionary)
+    measures = dictionary.scales
     sups, pieces = [], []
-    for region, exponent, density in _terms(field, norms, spec):
+    for region, exponent, density in terms:
         if math.isinf(exponent):
             sups.append((region, density))
         else:
@@ -262,10 +275,17 @@ def _spec_state(field: OuterField, dictionary, spec: SizeSpec, alive: np.ndarray
 
 def _lex_pick(vals: np.ndarray, scales: np.ndarray, offsets: np.ndarray, live: np.ndarray) -> int:
     """Largest size, ties to larger scale, then top closer to the origin,
-    then the smaller index; ineligible elements carry -inf."""
+    then the smaller index; ineligible elements carry -inf.
+
+    A unique largest size is the ``argmax``; only tied sizes are lexsorted.
+    """
     cand = np.where(live, vals, -np.inf)
-    idx = np.arange(cand.size)
-    return int(np.lexsort((-idx, -offsets, scales, cand))[-1])
+    best = int(cand.argmax())
+    top = cand == cand[best]
+    if np.count_nonzero(top) <= 1:
+        return best
+    ties = np.flatnonzero(top)
+    return int(ties[np.lexsort((-ties, -offsets[ties], scales[ties]))[-1]])
 
 
 def _greedy(dictionary, sizes, remove, alive, live, stop_below: float) -> CoverSelection:
@@ -276,15 +296,13 @@ def _greedy(dictionary, sizes, remove, alive, live, stop_below: float) -> CoverS
     may read ``alive`` (uncovered cells) and ``live`` (unpicked elements),
     which this loop clears before calling ``remove``.
     """
-    elements = _elements(dictionary)
-    measures = _measures(dictionary)
-    offsets = np.array([abs(e.x) for e in elements])
-    flat = dictionary.masks.reshape(len(elements), -1)
+    measures = dictionary.scales
+    flat = dictionary.masks.reshape(len(dictionary), -1)
     order, picked, costs = [], [], []
     total = 0.0
     while live.any():
         vals = sizes()
-        best = _lex_pick(vals, measures, offsets, live)
+        best = _lex_pick(vals, measures, dictionary.offsets, live)
         if vals[best] <= stop_below or vals[best] == 0.0:
             break
         order.append(best)
@@ -296,6 +314,14 @@ def _greedy(dictionary, sizes, remove, alive, live, stop_below: float) -> CoverS
         live[best] = False
         remove(cells)
     return CoverSelection(tuple(order), tuple(picked), tuple(costs))
+
+
+def _cover(dictionary, norms: np.ndarray, terms: list, stop_below: float) -> CoverSelection:
+    """Greedy cover of the field with the given norms and size terms."""
+    alive = np.ones(norms.size, dtype=bool)
+    sizes, remove = _spec_state(dictionary, norms, terms, alive)
+    live = np.ones(len(dictionary), dtype=bool)
+    return _greedy(dictionary, sizes, remove, alive, live, stop_below)
 
 
 def greedy_cover_profile(
@@ -311,10 +337,7 @@ def greedy_cover_profile(
     the origin.  The recorded sizes are nonincreasing, so the super-level
     measure at any level is a prefix cost.
     """
-    alive = np.ones(int(np.prod(field.grid.shape)), dtype=bool)
-    sizes, remove = _spec_state(field, dictionary, spec, alive)
-    live = np.ones(len(dictionary), dtype=bool)
-    return _greedy(dictionary, sizes, remove, alive, live, stop_below)
+    return _cover(dictionary, *_size_terms(field, spec), stop_below)
 
 
 def _prefix_measures(selection: CoverSelection, levels: np.ndarray) -> np.ndarray:
@@ -342,19 +365,24 @@ def _quasinorm_from_profile(top: float, selection: CoverSelection, p: float) -> 
     return (integral + tail) ** (1.0 / p)
 
 
+def _lp_quasinorm(dictionary, norms: np.ndarray, terms: list, p: float) -> float:
+    """Outer L^p quasinorm from built size terms: the top, then the greedy profile."""
+    top = float(_sizes_over(dictionary, terms).max(initial=0.0))
+    if math.isinf(p):
+        return top
+    if top <= 0.0:
+        return 0.0
+    selection = _cover(dictionary, norms, terms, top / _LEVEL_SPAN)
+    return _quasinorm_from_profile(top, selection, p)
+
+
 def outer_lp_quasinorm(
     field: OuterField, dictionary: TreeDictionary, spec: SizeSpec, p: float
 ) -> float:
     """Outer Lebesgue quasinorm via the greedy super-level profile."""
     if not (p > 0.0):
         raise ConfigurationError(f"outer exponent must be positive, got {p}")
-    top = outer_size(field, dictionary, spec)
-    if math.isinf(p):
-        return top
-    if top <= 0.0:
-        return 0.0
-    selection = greedy_cover_profile(field, dictionary, spec, stop_below=top / _LEVEL_SPAN)
-    return _quasinorm_from_profile(top, selection, p)
+    return _lp_quasinorm(dictionary, *_size_terms(field, spec), p)
 
 
 @functools.lru_cache(maxsize=4)
@@ -385,21 +413,23 @@ def iterated_quasinorm(
     """Outer L^p over strips of the strip-localized inner L^q quasinorm.
 
     The size of a strip is nu(D)^(-1/q) times the inner quasinorm of the
-    field restricted to the strip, taken over the trees that meet the strip;
-    the strip-level engine is the same greedy profile that drives the
-    tree-level quasinorm.
+    field restricted to the strip's live cells, taken over the trees that
+    meet the strip; the strip-level engine is the same greedy profile that
+    drives the tree-level quasinorm.  The field's size terms are built once
+    per call and each strip reads them zeroed off its live cells, which
+    equals the terms of the restricted field.
     """
     if not (p > 0.0 and q > 0.0):
         raise ConfigurationError(f"exponents must be positive, got p={p}, q={q}")
     subsets = _strip_subsets(tree_dictionary, strip_dictionary)
-    measures = _measures(strip_dictionary)
+    measures = strip_dictionary.scales
     stack = strip_dictionary.masks.reshape(measures.size, -1)
     alive = np.ones(stack.shape[1], dtype=bool)
     live = np.ones(measures.size, dtype=bool)
+    norms, terms = _size_terms(field, spec)
 
     def strip_value(i: int) -> float:
-        keep = (stack[i] & alive).reshape(field.grid.shape)
-        inner = outer_lp_quasinorm(field.restrict(keep), subsets[i], spec, q)
+        inner = _lp_quasinorm(subsets[i], *_zeroed(stack[i] & alive, norms, terms), q)
         return inner if math.isinf(q) else float(measures[i] ** (-1.0 / q) * inner)
 
     vals = np.array([strip_value(i) for i in range(measures.size)])

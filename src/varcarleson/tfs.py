@@ -274,13 +274,22 @@ def _stacked(masks, count: int, grid: TFSGrid) -> np.ndarray:
     return _frozen(stack)
 
 
+def _set_tops(dictionary, elements) -> None:
+    """Freeze the top scales and top distances |x| from the origin, one per element."""
+    scales = np.array([e.s for e in elements], dtype=float)
+    offsets = np.array([abs(e.x) for e in elements], dtype=float)
+    object.__setattr__(dictionary, "scales", _frozen(scales))
+    object.__setattr__(dictionary, "offsets", _frozen(offsets))
+
+
 @dataclass(frozen=True, eq=False)
 class TreeDictionary:
     """Trees with tops on the grid across a ladder of scales, plus node masks.
 
     ``masks`` is the full-tree incidence, one boolean row per tree, shape
     (n_trees, n_eta, n_y, n_t); the in/out parts are built alongside it and
-    read through :meth:`incidence`.
+    read through :meth:`incidence`.  ``scales`` and ``offsets`` hold each
+    tree's top scale s and top distance |x| from the origin.
     """
 
     grid: TFSGrid
@@ -295,6 +304,7 @@ class TreeDictionary:
             regions[region] = _frozen(_split(self.grid, self.trees, full, region))
         object.__setattr__(self, "_regions", regions)
         object.__setattr__(self, "_cells", {})
+        _set_tops(self, self.trees)
 
     @classmethod
     def build(
@@ -346,7 +356,8 @@ class TreeDictionary:
 class StripDictionary:
     """Strips with tops on the y grid across a ladder of scales, plus masks.
 
-    ``masks`` is the strip incidence, shape (n_strips, n_eta, n_y, n_t).
+    ``masks`` is the strip incidence, shape (n_strips, n_eta, n_y, n_t);
+    ``scales`` and ``offsets`` hold each strip's top scale s and |x|.
     """
 
     grid: TFSGrid
@@ -355,6 +366,7 @@ class StripDictionary:
 
     def __post_init__(self):
         object.__setattr__(self, "masks", _stacked(self.masks, len(self.strips), self.grid))
+        _set_tops(self, self.strips)
 
     @classmethod
     def build(

@@ -374,8 +374,20 @@ def test_signal_too_coarse_for_scales_is_rejected(tmp_path, capsys, section, ove
             ("dual.t_range", ["verify", "dual"], [[0.75, 0.25], [-0.25, 0.75], [0.5, 0.5],
                                                   [0.25], [0.25, "x"]]),
             ("domination.cut_lo", ["verify", "domination"], [[-2.0, -2.25]]),
-            ("domination.gap", ["verify", "domination"], [[4.5, 3.5], [-1.0, 3.5], [0, 3.5]]),
+            # at tiny the frequency cell 1/(n dx) is 0.125, and a gap that rounds
+            # to 0 cells would draw only empty intervals
+            ("domination.gap", ["verify", "domination"],
+             [[4.5, 3.5], [-1.0, 3.5], [0, 3.5], [0.01, 0.02]]),
             ("ptnm.candidates", ["verify", "ptnm"], [-1]),
+            # reversed or empty frequency intervals
+            ("reconstruction.interval", ["verify", "reconstruction"], [[1.5, -0.5], [0.5, 0.5]]),
+            ("dual.interval", ["verify", "dual"], [[2.5, -2.5]]),
+            ("packets.interval", ["packets", "dump"], [[2.5, -2.5]]),
+            # quadrature and refinement sizes that leave no rule to run
+            ("dual.t_steps", ["verify", "dual"], [7, 0]),
+            ("dual.eta_per_window", ["verify", "dual"], [1]),
+            ("reconstruction.cells", ["verify", "reconstruction"], [1]),
+            ("reconstruction.refine", ["verify", "reconstruction"], [1, 0]),
         )
     ],
 )

@@ -201,16 +201,63 @@ def test_iterated_evaluates_only_touched_live_strips(setting, monkeypatch):
     # that overlap the removed cells: 70 inner quasinorms on this fixture
     grid, field, trees, strips = setting
     calls = []
-    inner = outersize.outer_lp_quasinorm
+    inner = outersize._lp_quasinorm
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(outersize, "outer_lp_quasinorm", counting)
+    monkeypatch.setattr(outersize, "_lp_quasinorm", counting)
     iterated_quasinorm(field, trees, strips, SizeSpec("lp", 2.0, "full"), 2.0, 2.0)
     assert len(strips) == 25
     assert len(calls) == 70
+
+
+@pytest.mark.parametrize(
+    "spec", [SizeSpec("lp", 2.0, "full"), SizeSpec("f"), SizeSpec("fstar")],
+    ids=["lp2", "f", "fstar"],
+)
+@pytest.mark.parametrize("q", [2.0, 1.5, math.inf], ids=["q2", "q1.5", "qinf"])
+def test_zeroed_terms_match_restricted_field(setting, spec, q):
+    # a strip's inner quasinorm from the whole field's terms zeroed off its
+    # live cells equals the quasinorm of the restricted field, bit for bit
+    grid, field, trees, strips = setting
+    subsets = outersize._strip_subsets(trees, strips)
+    stack = strips.masks.reshape(len(strips), -1)
+    norms, terms = outersize._size_terms(field, spec)
+    rng = np.random.default_rng(17)
+    masks = [np.ones(stack.shape[1], dtype=bool)]
+    masks += [rng.random(stack.shape[1]) < share for share in (0.8, 0.5)]
+    positive = 0
+    for alive in masks:
+        for i, sub in enumerate(subsets):
+            keep = stack[i] & alive
+            fast = outersize._lp_quasinorm(sub, *outersize._zeroed(keep, norms, terms), q)
+            restricted = field.restrict(keep.reshape(grid.shape))
+            assert fast == outer_lp_quasinorm(restricted, sub, spec, q)
+            positive += fast > 0.0
+    assert positive >= len(subsets)
+
+
+def test_lex_pick_matches_full_lexsort():
+    # random sizes, with ties planted in size, scale and offset at once
+    rng = np.random.default_rng(23)
+    tied = 0
+    for trial in range(600):
+        n = int(rng.integers(1, 30))
+        if trial % 2:
+            vals = rng.choice([0.0, 0.5, 1.0], n)
+        else:
+            vals = rng.random(n)
+        scales = rng.choice([0.5, 1.0, 2.0], n)
+        offsets = rng.choice([0.0, 1.0, 2.0], n)
+        live = rng.random(n) < 0.7
+        live[rng.integers(n)] = True
+        cand = np.where(live, vals, -np.inf)
+        expect = int(np.lexsort((-np.arange(n), -offsets, scales, cand))[-1])
+        assert outersize._lex_pick(vals, scales, offsets, live) == expect
+        tied += int((cand == cand.max()).sum() > 1)
+    assert tied >= 100
 
 
 def dense_region_max(dictionary, region, density):
