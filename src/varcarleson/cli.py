@@ -340,10 +340,10 @@ _RULE_SIZES = (
     ("reconstruction.cells", 2),
     ("reconstruction.refine", 2),
 )
-# integer settings and the least value each may take
+# integer settings and the least value each may take (a selection needs 2 levels)
 _LEAST = (
     tuple((name, 1) for name in _CORPUS_COUNTS + _STRIDES)
-    + (("ptnm.candidates", 0),)
+    + (("ptnm.candidates", 0), ("sweep.levels", 2))
     + _RULE_SIZES
 )
 # [lo, hi] ranges and the order their ends must keep: frequency intervals are
@@ -384,6 +384,21 @@ def _check_range(settings: dict, name: str, order: str, holds) -> None:
         raise ConfigurationError(
             f"config key {name!r} must be [lo, hi] with {order}, got {json.dumps(value)}"
         )
+
+
+def _check_cutoffs(settings: dict) -> None:
+    """Reject sweep and converge cutoffs that their signal's frequency grid cannot hold."""
+    levels, n = settings["sweep"]["levels"], settings["sweep"]["signal"]["n"]
+    if levels > n:  # a selection draws distinct frequencies of the signal
+        raise ConfigurationError(
+            f"config key 'sweep.levels' must be at most sweep.signal.n = {n}, got {levels}"
+        )
+    dx = settings["converge"]["dx"]
+    if not (math.isfinite(dx) and dx > 0.0):
+        raise ConfigurationError(f"config key 'converge.dx' must be finite and > 0, got {dx!r}")
+    nyquist = 0.5 / dx
+    order = f"0 < lo < hi < 0.5/converge.dx = {nyquist:g}"
+    _check_range(settings, "converge.xi_range", order, lambda lo, hi: 0.0 < lo < hi < nyquist)
 
 
 def _check_embedded_signal(settings: dict, name: str) -> None:
@@ -447,6 +462,7 @@ def resolve_config(
         n = _setting(settings, name)
         if n < 2 or n & (n - 1):
             raise ConfigurationError(f"config key {name!r} must be a power of two, got {n}")
+    _check_cutoffs(settings)
     for name in _EMBEDDED_SIGNALS:
         _check_embedded_signal(settings, name)
     _check_gap_cells(settings["domination"])
@@ -507,8 +523,6 @@ def _band_signal(sec: dict, space: NormedSpace, seed: int):
 def _grid_selection(rng: np.random.Generator, signal, count: int) -> FrequencySelection:
     """Strictly increasing cutoffs drawn uniformly from the frequency grid."""
     freqs = _freq_grid(signal.n, signal.dx)
-    if count > freqs.size:
-        raise ConfigurationError(f"cannot draw {count} distinct levels from {freqs.size}")
     idx = np.sort(rng.choice(freqs.size, size=count, replace=False))
     return FrequencySelection.constant(freqs[idx], signal.n)
 
@@ -532,8 +546,6 @@ def sweep_ratio(signal, selection: FrequencySelection, p: float, r: float) -> fl
 def run_sweep(config: ExperimentConfig) -> dict:
     sec = config.settings["sweep"]
     levels = int(sec["levels"])
-    if levels < 2:
-        raise ConfigurationError(f"selections need at least 2 levels, got {levels}")
     r0_of_cell = [float(v) for v in sec["r0_values"]]
     cells = [
         (float(p), float(r), r0)
@@ -856,8 +868,6 @@ def run_convergence(config: ExperimentConfig) -> dict:
     r = _check_r(config.exponents["r"])
     nyquist = 0.5 / dx
     lo, hi = (float(v) for v in sec["xi_range"])
-    if not (0.0 < lo < hi < nyquist):
-        raise ConfigurationError(f"cutoff range {sec['xi_range']} must sit inside (0, {nyquist})")
     cutoffs = np.linspace(lo, hi, int(sec["points"]))
     band = float(sec["bandlimited"]["band"])
     signals = {
@@ -946,10 +956,6 @@ def _jsonable(obj):
     if isinstance(obj, (float, np.floating)):
         v = float(obj)
         return v if math.isfinite(v) else repr(v)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [obj.real, obj.imag]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     return obj
 
 

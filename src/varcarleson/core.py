@@ -25,7 +25,6 @@ __all__ = [
     "norm_eval",
     "duality_pairing",
     "make_signal",
-    "SIGNAL_KINDS",
 ]
 
 
@@ -67,14 +66,6 @@ class NormedSpace:
             raise ConfigurationError(f"exponent must satisfy p >= 1, got {p}")
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "exponent", p)
-
-    @property
-    def dual_exponent(self) -> float:
-        """The conjugate exponent p' = p/(p-1), with 1' = inf and inf' = 1."""
-        return dual_exponent(self.exponent)
-
-    def dual(self) -> "NormedSpace":
-        return NormedSpace(self.dim, self.dual_exponent)
 
 
 def _coerce_vectors(v, dim: int) -> np.ndarray:
@@ -185,10 +176,6 @@ class SampledSignal:
     @property
     def dim(self) -> int:
         return self.space.dim
-
-    @property
-    def span(self) -> float:
-        return self.n * self.dx
 
     def grid(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.n)
@@ -305,25 +292,6 @@ def _direction(params: dict, space: NormedSpace) -> np.ndarray:
     return vec
 
 
-_EDGE_DECAY = 1e-12  # generator contract: relative magnitude at the grid edges
-
-
-def _check_edge_decay(kind: str, values: np.ndarray) -> None:
-    mags = np.abs(values).max(axis=1)
-    peak = mags.max()
-    if peak == 0.0:
-        raise ConfigurationError(f"{kind}: generated signal is identically zero")
-    edge = max(mags[0], mags[-1])
-    if edge > _EDGE_DECAY * peak:
-        raise ConfigurationError(
-            f"{kind}: grid too small, edge magnitude {edge:.3e} exceeds "
-            f"{_EDGE_DECAY:g} * peak ({peak:.3e}); widen the span or shrink the profile"
-        )
-
-
-SIGNAL_KINDS = ("gaussian", "bandlimited-random", "chirp", "modulated-bump")
-
-
 def make_signal(
     kind: str,
     params: Mapping | None = None,
@@ -336,12 +304,11 @@ def make_signal(
 ) -> SampledSignal:
     """Deterministic test-signal factory.
 
-    kinds: ``gaussian`` (params center, sigma, direction), ``chirp`` (sigma,
-    freq, rate, direction), ``modulated-bump`` (radius, freq, direction),
-    ``bandlimited-random`` (band; requires ``seed``; independent Gaussian
-    DFT coefficients per coordinate, exactly zero outside the band).
-    Localized kinds must decay below 1e-12 (relative) at the grid edges or a
-    ConfigurationError is raised.
+    Two kinds: ``gaussian`` (params center, sigma, direction), which must
+    decay below 1e-12 (relative) at the grid edges or a ConfigurationError
+    is raised, and ``bandlimited-random`` (band; requires ``seed``;
+    independent Gaussian DFT coefficients per coordinate, exactly zero
+    outside the band).
     """
     params = dict(params or {})
     space = space or NormedSpace(1, 2.0)
@@ -365,40 +332,16 @@ def make_signal(
         vec = _direction(params, space)
         profile = np.exp(-np.pi * ((x - center) / sigma) ** 2)
         values = profile[:, None] * vec[None, :]
-        _check_edge_decay(kind, values)
-    elif kind == "chirp":
-        sigma = _as_float("sigma", params.pop("sigma", 1.0))
-        freq = _as_float("freq", params.pop("freq", 1.0))
-        rate = _as_float("rate", params.pop("rate", 0.5))
-        if sigma <= 0:
-            raise ConfigurationError(f"sigma must be positive, got {sigma}")
-        # keep the instantaneous frequency inside Nyquist over the effective support
-        top_freq = abs(freq) + abs(rate) * 4.0 * sigma
-        if top_freq > 0.9 * nyquist:
+        # generator contract: the grid edges sit below 1e-12 of the peak magnitude
+        mags = np.abs(values).max(axis=1)
+        peak, edge = mags.max(), max(mags[0], mags[-1])
+        if peak == 0.0:
+            raise ConfigurationError("gaussian: generated signal is identically zero")
+        if edge > 1e-12 * peak:
             raise ConfigurationError(
-                f"chirp sweeps to |frequency| ~ {top_freq:.3g}, too close to Nyquist {nyquist:.3g}"
+                f"gaussian: grid too small, edge magnitude {edge:.3e} exceeds "
+                f"1e-12 * peak ({peak:.3e}); widen the span or shrink the profile"
             )
-        vec = _direction(params, space)
-        phase = 2.0 * np.pi * (freq * x + 0.5 * rate * x * x)
-        profile = np.exp(-np.pi * (x / sigma) ** 2) * np.exp(1j * phase)
-        values = profile[:, None] * vec[None, :]
-        _check_edge_decay(kind, values)
-    elif kind == "modulated-bump":
-        radius = _as_float("radius", params.pop("radius", 0.2 * n * dx))
-        freq = _as_float("freq", params.pop("freq", 0.0))
-        if not (0 < radius <= 0.45 * n * dx):
-            raise ConfigurationError(
-                f"bump radius {radius} must lie in (0, {0.45 * n * dx}] for this grid"
-            )
-        if abs(freq) > 0.9 * nyquist:
-            raise ConfigurationError(f"modulation {freq} too close to Nyquist {nyquist:.3g}")
-        vec = _direction(params, space)
-        u = x / radius
-        profile = np.zeros(n)
-        inside = np.abs(u) < 1.0
-        profile[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
-        values = (profile * np.exp(2j * np.pi * freq * x))[:, None] * vec[None, :]
-        _check_edge_decay(kind, values)
     elif kind == "bandlimited-random":
         band = _as_float("band", params.pop("band", 0.5 * nyquist))
         if seed is None:
@@ -415,7 +358,7 @@ def make_signal(
         )
         values = _idft_values(coeffs, x0, dx)
     else:
-        raise ConfigurationError(f"unknown signal kind {kind!r}; expected one of {SIGNAL_KINDS}")
+        raise ConfigurationError(f"signal kind {kind!r} is not gaussian or bandlimited-random")
 
     if params:
         raise ConfigurationError(f"unused parameters for kind {kind!r}: {sorted(params)}")

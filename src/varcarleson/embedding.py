@@ -6,8 +6,8 @@ Three fields over a (modulation, translation, scale) grid:
   frequency: ``E(eta, y, t) = sum_xi fhat(xi) w(t (xi - eta)) e^{2 pi i xi y}
   dxi``.  The window equals 1 on the spectral support of the packet family
   and vanishes smoothly outside 1.5 times that radius, so band-limited
-  signals embed exactly (circular convention: y on the signal grid uses the
-  inverse grid transform).
+  signals embed exactly.  The field at any translation y is the frequency
+  sum itself, one matmul against the phases ``e^{2 pi i xi y} dxi``.
 * :func:`embed_packets` does the same with the truncated wave-packet profile
   of a frequency interval in place of the window, spectrally or by a direct
   spatial sum against the Gauss-Legendre inversion of the profile (the slow
@@ -41,7 +41,6 @@ from .core import (
     SequenceSignal,
     _dft_values,
     _freq_grid,
-    _idft_values,
     duality_pairing,
     norm_eval,
 )
@@ -127,31 +126,19 @@ def _check_scales(grid: TFSGrid, n: int, dx: float, b: float) -> None:
         )
 
 
-def _same_axis(grid_y: np.ndarray, signal: SampledSignal) -> bool:
-    if grid_y.size != signal.n:
-        return False
-    return bool(np.allclose(grid_y, signal.grid(), rtol=0.0, atol=1e-9 * signal.dx))
-
-
 def _spectral_field(signal: SampledSignal, grid: TFSGrid, profile) -> np.ndarray:
     """Assemble sum_xi fhat(xi) profile(eta, t, xi) e^{2 pi i xi y} dxi.
 
     ``profile(eta, t, xi)`` receives broadcast node arrays shaped
     ``(n_eta, 1, 1)``, ``(1, n_t, 1)`` and ``(1, 1, n_xi)`` and returns the
-    window values on all nodes at once, shaped ``(n_eta, n_t, n_xi)``.  When
-    the y axis is the signal axis, one grid inverse transform along the
-    frequency axis yields the field; otherwise one stacked matmul against
-    the exponential phases does.
+    window values on all nodes at once, shaped ``(n_eta, n_t, n_xi)``.  One
+    stacked matmul against the exponential phases at the grid's y nodes
+    yields the field.
     """
     coeffs = _dft_values(signal.values, signal.x0, signal.dx)
     xi = _freq_grid(signal.n, signal.dx)
     prof = profile(grid.eta[:, None, None], grid.t[None, :, None], xi[None, None, :])
     windowed = prof[..., None] * coeffs  # (n_eta, n_t, n_xi, dim)
-    if _same_axis(grid.y, signal):
-        n_eta, n_t = prof.shape[:2]
-        stacked = np.moveaxis(windowed, 2, 0).reshape(signal.n, -1)
-        field = _idft_values(stacked, signal.x0, signal.dx)
-        return field.reshape(signal.n, n_eta, n_t, signal.dim).transpose(1, 0, 2, 3)
     dxi = 1.0 / (signal.n * signal.dx)
     phases = np.exp(2j * np.pi * np.outer(xi, grid.y)) * dxi  # (n_xi, n_y)
     return np.moveaxis(phases.T @ windowed, 2, 1)

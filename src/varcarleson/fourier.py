@@ -24,6 +24,7 @@ from .core import (
     SampledSignal,
     SequenceSignal,
     _dft_values,
+    _freeze,
     _freq_grid,
     _idft_values,
     norm_eval,
@@ -68,9 +69,7 @@ class Spectrum:
         for name, arr in (("frequencies", freqs), ("coefficients", coeffs)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
-            arr = np.ascontiguousarray(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(arr))
 
     @property
     def dxi(self) -> float:

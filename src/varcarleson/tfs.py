@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, NormedSpace, norm_eval
+from .core import ConfigurationError, NormedSpace, _freeze, norm_eval
 
 __all__ = [
     "TFSGrid",
@@ -67,9 +67,7 @@ class TFSGrid:
         if np.any(ratios <= 1.0) or not np.allclose(ratios, ratios[0], rtol=1e-9, atol=0.0):
             raise ConfigurationError("t grid must be geometric with ratio > 1")
         for name, arr in (("eta", eta), ("y", y), ("t", t)):
-            arr = np.ascontiguousarray(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(arr))
         object.__setattr__(self, "d_eta", d_eta)
         object.__setattr__(self, "d_y", d_y)
         object.__setattr__(self, "log_ratio", float(np.log(ratios[0])))
@@ -127,9 +125,7 @@ class OuterField:
             raise ConfigurationError(f"values must have shape {expected}, got {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ConfigurationError("field values must be finite")
-        vals = np.ascontiguousarray(vals)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _freeze(vals))
 
     def norms(self) -> np.ndarray:
         """Pointwise coordinate-space norms, shape (n_eta, n_y, n_t)."""
@@ -175,12 +171,6 @@ class Strip:
     def __post_init__(self):
         if not (self.s > 0 and math.isfinite(self.s)):
             raise ConfigurationError(f"strip scale must be positive, got {self.s}")
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
-    arr.flags.writeable = False
-    return arr
 
 
 def _angular(grid: TFSGrid, trees, window: str) -> np.ndarray:
@@ -271,15 +261,15 @@ def _stacked(masks, count: int, grid: TFSGrid) -> np.ndarray:
     stack = np.asarray(masks, dtype=bool)
     if stack.shape != (count,) + grid.shape:
         raise ValueError(f"need {count} masks of shape {grid.shape}, got {stack.shape}")
-    return _frozen(stack)
+    return _freeze(stack)
 
 
 def _set_tops(dictionary, elements) -> None:
     """Freeze the top scales and top distances |x| from the origin, one per element."""
     scales = np.array([e.s for e in elements], dtype=float)
     offsets = np.array([abs(e.x) for e in elements], dtype=float)
-    object.__setattr__(dictionary, "scales", _frozen(scales))
-    object.__setattr__(dictionary, "offsets", _frozen(offsets))
+    object.__setattr__(dictionary, "scales", _freeze(scales))
+    object.__setattr__(dictionary, "offsets", _freeze(offsets))
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,7 +291,7 @@ class TreeDictionary:
         object.__setattr__(self, "masks", full)
         regions = {"full": full}
         for region in ("in", "out"):
-            regions[region] = _frozen(_split(self.grid, self.trees, full, region))
+            regions[region] = _freeze(_split(self.grid, self.trees, full, region))
         object.__setattr__(self, "_regions", regions)
         object.__setattr__(self, "_cells", {})
         _set_tops(self, self.trees)
@@ -345,7 +335,7 @@ class TreeDictionary:
             flat = self.incidence(region).reshape(len(self), math.prod(self.grid.shape))
             sentinel = np.ones((len(self), 1), dtype=bool)
             _, cols = np.nonzero(np.hstack([sentinel, flat]))
-            self._cells[region] = (_frozen(cols - 1), _frozen(np.flatnonzero(cols == 0)))
+            self._cells[region] = (_freeze(cols - 1), _freeze(np.flatnonzero(cols == 0)))
         return self._cells[region]
 
     def __len__(self) -> int:

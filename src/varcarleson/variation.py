@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import NormedSpace, norm_eval
+from .core import NormedSpace, _freeze, norm_eval
 
 __all__ = ["Path", "variation_norm", "variation_norm_bruteforce"]
 
@@ -40,9 +40,7 @@ class Path:
             )
         if not np.all(np.isfinite(pts)):
             raise ValueError("path points must be finite")
-        pts = np.ascontiguousarray(pts)
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _freeze(pts))
 
     def __len__(self) -> int:
         return self.points.shape[0]

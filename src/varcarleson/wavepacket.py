@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import ConfigurationError
+from .core import ConfigurationError, _freeze
 
 __all__ = [
     "BumpSpec",
@@ -274,9 +274,7 @@ class MultiplierTable:
 
     def __post_init__(self):
         for name in ("xi_grid", "m_values"):
-            arr = np.ascontiguousarray(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
         object.__setattr__(self, "_spline", _NotAKnotSpline(self.xi_grid, self.m_values))
 
     @property
@@ -409,8 +407,6 @@ class ReconstructionReport:
     cells_fine: int
     sup_ref: float
     sup_fine: float
-    l2_ref: float
-    l2_fine: float
     ratio: float
     exterior_max: float
 
@@ -475,8 +471,6 @@ def verify_reconstruction(
     sup_ref = float(np.abs(res_ref[inside]).max()) if np.any(inside) else 0.0
     sup_fine = float(np.abs(res_fine[inside]).max()) if np.any(inside) else 0.0
     exterior = float(np.abs(res_ref[~inside]).max()) if np.any(~inside) else 0.0
-    l2_ref = float(np.sqrt(np.mean(res_ref[inside] ** 2))) if np.any(inside) else 0.0
-    l2_fine = float(np.sqrt(np.mean(res_fine[inside] ** 2))) if np.any(inside) else 0.0
     ratio = sup_ref / sup_fine if sup_fine > 0.0 else math.inf
     return ReconstructionReport(
         xi=xi_arr,
@@ -486,8 +480,6 @@ def verify_reconstruction(
         cells_fine=refine * cells,
         sup_ref=sup_ref,
         sup_fine=sup_fine,
-        l2_ref=l2_ref,
-        l2_fine=l2_fine,
         ratio=ratio,
         exterior_max=exterior,
     )

@@ -216,11 +216,6 @@ def test_converge_table_and_checks(tmp_path):
     assert past and max(past) <= 1e-10
 
 
-def test_converge_rejects_bad_cutoff_range(tmp_path):
-    path = write_config(tmp_path, {"converge": {"xi_range": [0.25, 99.0]}})
-    assert main(["converge", "--preset", "tiny", "--config", path]) == EXIT_CONFIG
-
-
 def test_packets_dump_roundtrip(tmp_path):
     out = tmp_path / "field.vcf"
     assert main(["packets", "dump", "--preset", "tiny", "--seed", "5",
@@ -388,6 +383,12 @@ def test_signal_too_coarse_for_scales_is_rejected(tmp_path, capsys, section, ove
             ("dual.eta_per_window", ["verify", "dual"], [1]),
             ("reconstruction.cells", ["verify", "reconstruction"], [1]),
             ("reconstruction.refine", ["verify", "reconstruction"], [1, 0]),
+            # a zero step divides by zero; at tiny 0.5 moves Nyquist below the cutoffs
+            ("converge.dx", ["converge"], [0.0, -0.125, math.inf, 0.5]),
+            # cutoffs must sit inside (0, Nyquist), which is 4 at tiny
+            ("converge.xi_range", ["converge"], [[0.25, 99.0], [0.0, 1.0], [2.0, 1.0]]),
+            # a selection draws distinct levels from the 128 frequencies at tiny
+            ("sweep.levels", ["sweep"], [1, 0, 200]),
         )
     ],
 )

@@ -8,6 +8,7 @@ package's public surface.
 
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -44,3 +45,17 @@ def test_traced_cli_functions_exist(bench_trace):
     assert bench_trace.CLI_FUNCTIONS
     for attr in bench_trace.CLI_FUNCTIONS:
         assert callable(getattr(cli, attr, None)), attr
+
+
+def test_module_exports_resolve():
+    # the tracer reads every traced layer's ``__all__`` with ``getattr``, so a
+    # stale export left by a trim would crash every traced run
+    package = importlib.import_module("varcarleson")
+    modules = [package] + [
+        importlib.import_module(f"varcarleson.{info.name}")
+        for info in pkgutil.iter_modules(package.__path__)
+    ]
+    assert len(modules) > 1
+    for module in modules:
+        for attr in module.__all__:
+            assert hasattr(module, attr), f"{module.__name__}.{attr}"
