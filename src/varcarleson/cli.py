@@ -365,6 +365,29 @@ _SAMPLE_COUNTS = ("sweep.signal.n", "dual.signal.n", "ptnm.signal.n", "converge.
 # sections whose signal is embedded on their TFS grid: the grid's scales must
 # fit the signal's frequency step and band
 _EMBEDDED_SIGNALS = ("holder", "domination", "packets")
+# axes of those TFS grids: eta and y are [lo, hi, count] with at least two
+# nodes, t is [t_min, t_max, ratio] on a rising geometric ladder
+_COUNTED = (
+    ("lo", "hi", "count"),
+    "lo < hi and an integer count >= 2",
+    lambda lo, hi, count: lo < hi and type(count) is int and count >= 2,
+)
+_LADDER = (
+    ("t_min", "t_max", "ratio"),
+    "0 < t_min < t_max and ratio > 1",
+    lambda lo, hi, ratio: 0.0 < lo < hi and ratio > 1.0,
+)
+_GRID_AXES = tuple(
+    (f"{section}.grid.{axis}",) + rule
+    for section in _EMBEDDED_SIGNALS
+    for axis, rule in (("eta", _COUNTED), ("y", _COUNTED), ("t", _LADDER))
+)
+# band-limited signals drawn by make_signal, each band and the step that sets
+# its Nyquist frequency 0.5/dx
+_BANDS = tuple(
+    (f"{section}.signal.band", f"{section}.signal.dx")
+    for section in ("sweep", "dual", "holder", "domination", "ptnm", "packets")
+) + (("converge.bandlimited.band", "converge.dx"),)
 
 
 def _setting(settings: dict, name: str):
@@ -374,16 +397,25 @@ def _setting(settings: dict, name: str):
     return settings
 
 
-def _check_range(settings: dict, name: str, order: str, holds) -> None:
-    """Reject a range that is not two finite numbers in the given order."""
+def _check_range(settings: dict, name: str, order: str, holds, ends=("lo", "hi")) -> None:
+    """Reject a list that is not one finite number per end in the given order."""
     value = _setting(settings, name)
-    numbers = len(value) == 2 and all(
+    numbers = len(value) == len(ends) and all(
         type(v) in (int, float) and math.isfinite(v) for v in value
     )
     if not (numbers and holds(*value)):
         raise ConfigurationError(
-            f"config key {name!r} must be [lo, hi] with {order}, got {json.dumps(value)}"
+            f"config key {name!r} must be [{', '.join(ends)}] with {order}, "
+            f"got {json.dumps(value)}"
         )
+
+
+def _check_positive(settings: dict, name: str) -> float:
+    """Reject a step or width that is not finite and > 0; return it."""
+    value = _setting(settings, name)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigurationError(f"config key {name!r} must be finite and > 0, got {value!r}")
+    return value
 
 
 def _check_cutoffs(settings: dict) -> None:
@@ -393,25 +425,36 @@ def _check_cutoffs(settings: dict) -> None:
         raise ConfigurationError(
             f"config key 'sweep.levels' must be at most sweep.signal.n = {n}, got {levels}"
         )
-    dx = settings["converge"]["dx"]
-    if not (math.isfinite(dx) and dx > 0.0):
-        raise ConfigurationError(f"config key 'converge.dx' must be finite and > 0, got {dx!r}")
-    nyquist = 0.5 / dx
+    nyquist = 0.5 / _check_positive(settings, "converge.dx")
     order = f"0 < lo < hi < 0.5/converge.dx = {nyquist:g}"
     _check_range(settings, "converge.xi_range", order, lambda lo, hi: 0.0 < lo < hi < nyquist)
 
 
 def _check_embedded_signal(settings: dict, name: str) -> None:
-    """Reject a signal whose frequency grid or band is too coarse for its TFS scales."""
+    """Reject a signal whose frequency grid or band is too coarse for its TFS scales.
+
+    The grid's own axes are checked by key before this runs.
+    """
     sec = settings[name]
     n, dx = sec["signal"]["n"], sec["signal"]["dx"]
     keys = f"config keys '{name}.signal.n', '{name}.signal.dx' and '{name}.grid.t'"
     if n < 1 or not (math.isfinite(dx) and dx > 0.0):
         raise ConfigurationError(f"{keys} need n >= 1 and a finite dx > 0, got {n} and {dx}")
+    grid = _grid_from(sec["grid"])
     try:
-        _check_scales(_grid_from(sec["grid"]), n, dx, float(settings["table"]["b"]))
+        _check_scales(grid, n, dx, float(settings["table"]["b"]))
     except ConfigurationError as exc:
         raise ConfigurationError(f"{keys} do not fit together: {exc}") from None
+
+
+def _check_band(settings: dict, band_key: str, dx_key: str) -> None:
+    """Reject a signal step or band that make_signal would refuse."""
+    nyquist = 0.5 / _check_positive(settings, dx_key)
+    band = _setting(settings, band_key)
+    if not (0.0 < band < nyquist):
+        raise ConfigurationError(
+            f"config key {band_key!r} must lie in (0, 0.5/{dx_key} = {nyquist:g}), got {band!r}"
+        )
 
 
 def _draw_cells(sec: dict, name: str) -> tuple:
@@ -463,8 +506,13 @@ def resolve_config(
         if n < 2 or n & (n - 1):
             raise ConfigurationError(f"config key {name!r} must be a power of two, got {n}")
     _check_cutoffs(settings)
+    for name, ends, order, holds in _GRID_AXES:
+        _check_range(settings, name, order, holds, ends)
     for name in _EMBEDDED_SIGNALS:
         _check_embedded_signal(settings, name)
+    for band_key, dx_key in _BANDS:
+        _check_band(settings, band_key, dx_key)
+    _check_positive(settings, "converge.gaussian.sigma")
     _check_gap_cells(settings["domination"])
     if seed is not None:
         settings["seed"] = seed

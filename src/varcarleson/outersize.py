@@ -10,16 +10,24 @@ level and the outer Lebesgue quasinorm is a weighted integral of the prefix
 costs over 64 logarithmically spaced levels.  Iterated quasinorms run the
 same engine at strip level with the strip-localized, scale-normalized inner
 quasinorm as the size; each strip's inner cover runs on only the trees that
-meet the strip.  Sum terms of a size read the boolean incidence directly; the
-max term reads the per-row cell index derived from it.
+meet the strip.  A full size evaluation reads, for sum and max terms alike,
+the per-row cell index derived from the dictionary's boolean incidence: one
+segment sum or max per tree.  Only the cover's decrements (its dense seed and
+exact removals, which give the sizes from its second round on) read the dense
+incidence.
 
 Each quasinorm call builds the field's size terms once, and the top and the
-cover share them.  A strip's densities are the field's densities zeroed off
-the strip's live cells, which equals restricting the field, since every term
-is per cell and a zeroed cell gives exact zeros.  ``tests/test_outersize.py``
-pins both against the restricted-field route
-(``test_zeroed_terms_match_restricted_field``) and the argmax pick against
-the full tie-rule lexsort (``test_lex_pick_matches_full_lexsort``).
+cover share them.  The full evaluation whose largest value is the top is also
+the cover's first round, so the first recorded size is the outer size.  A
+strip's densities are the field's densities zeroed off the strip's live
+cells, which equals restricting the field, since every term is per cell and
+a zeroed cell gives exact zeros.  ``tests/test_outersize.py`` pins both
+against the restricted-field route
+(``test_zeroed_terms_match_restricted_field``), the argmax pick against the
+full tie-rule lexsort (``test_lex_pick_matches_full_lexsort``), the segment
+sums against the dense product (``test_region_sum_matches_dense_oracle``) and
+the first recorded size against the outer size
+(``test_first_cover_size_is_outer_size``).
 """
 
 from __future__ import annotations
@@ -133,16 +141,26 @@ def _region_max(dictionary: TreeDictionary, region: str, density: np.ndarray) ->
     return np.maximum.reduceat(np.append(density, 0.0)[index], starts)
 
 
-def _sizes_over(dictionary, terms: list) -> np.ndarray:
-    """Local sizes of every dictionary element, one pass over each term's incidence."""
+def _region_sum(dictionary: TreeDictionary, region: str, density: np.ndarray) -> np.ndarray:
+    """Sum of the density over each tree's region cells; 0 for a tree with no cell.
+
+    The segment sum over the same per-row cell index as :func:`_region_max`;
+    the leading sentinel cell adds the padded 0, which changes no sum.
+    """
+    index, starts = dictionary._row_cells(region)
+    return np.add.reduceat(np.append(density, 0.0)[index], starts)
+
+
+def _sizes_over(dictionary: TreeDictionary, terms: list) -> np.ndarray:
+    """Local sizes of every tree: one segment sum or max per term over the per-row cell index."""
     measures = dictionary.scales
     parts = []
     for region, exponent, density in terms:
         if math.isinf(exponent):
             parts.append(_region_max(dictionary, region, density))
         else:
-            mat = dictionary.incidence(region).reshape(measures.size, density.size)
-            parts.append((np.maximum(mat @ density, 0.0) / measures) ** (1.0 / exponent))
+            sums = _region_sum(dictionary, region, density)
+            parts.append((np.maximum(sums, 0.0) / measures) ** (1.0 / exponent))
     return sum(parts[1:], parts[0])
 
 
@@ -245,8 +263,14 @@ class _LinearPiece:
         return out
 
 
-def _spec_state(dictionary, norms: np.ndarray, terms: list, alive: np.ndarray):
-    """Incremental sizes of every element as cells leave ``alive``."""
+def _spec_state(
+    dictionary, norms: np.ndarray, terms: list, alive: np.ndarray, first: np.ndarray
+):
+    """Incremental sizes of every element as cells leave ``alive``.
+
+    The first round's sizes are ``first``, the :func:`_sizes_over` of the
+    whole field; later rounds read the decremented pieces.
+    """
     support = np.flatnonzero(norms > 0.0)
     measures = dictionary.scales
     sups, pieces = [], []
@@ -257,7 +281,11 @@ def _spec_state(dictionary, norms: np.ndarray, terms: list, alive: np.ndarray):
             stack = dictionary.incidence(region).reshape(measures.size, -1)
             pieces.append((_LinearPiece(stack, support, density), exponent))
 
+    pending = [first]
+
     def sizes() -> np.ndarray:
+        if pending:
+            return pending.pop()
         # a sup term is never listed before a sum term, so this is term order
         total = np.zeros(measures.size)
         for piece, exponent in pieces:
@@ -316,10 +344,12 @@ def _greedy(dictionary, sizes, remove, alive, live, stop_below: float) -> CoverS
     return CoverSelection(tuple(order), tuple(picked), tuple(costs))
 
 
-def _cover(dictionary, norms: np.ndarray, terms: list, stop_below: float) -> CoverSelection:
-    """Greedy cover of the field with the given norms and size terms."""
+def _cover(
+    dictionary, norms: np.ndarray, terms: list, first: np.ndarray, stop_below: float
+) -> CoverSelection:
+    """Greedy cover of the field with the given norms, size terms and first-round sizes."""
     alive = np.ones(norms.size, dtype=bool)
-    sizes, remove = _spec_state(dictionary, norms, terms, alive)
+    sizes, remove = _spec_state(dictionary, norms, terms, alive, first)
     live = np.ones(len(dictionary), dtype=bool)
     return _greedy(dictionary, sizes, remove, alive, live, stop_below)
 
@@ -335,9 +365,11 @@ def greedy_cover_profile(
 
     Ties break toward the larger top scale, then the top position closer to
     the origin.  The recorded sizes are nonincreasing, so the super-level
-    measure at any level is a prefix cost.
+    measure at any level is a prefix cost, and the first one is
+    :func:`outer_size`.
     """
-    return _cover(dictionary, *_size_terms(field, spec), stop_below)
+    norms, terms = _size_terms(field, spec)
+    return _cover(dictionary, norms, terms, _sizes_over(dictionary, terms), stop_below)
 
 
 def _prefix_measures(selection: CoverSelection, levels: np.ndarray) -> np.ndarray:
@@ -367,12 +399,13 @@ def _quasinorm_from_profile(top: float, selection: CoverSelection, p: float) -> 
 
 def _lp_quasinorm(dictionary, norms: np.ndarray, terms: list, p: float) -> float:
     """Outer L^p quasinorm from built size terms: the top, then the greedy profile."""
-    top = float(_sizes_over(dictionary, terms).max(initial=0.0))
+    first = _sizes_over(dictionary, terms)
+    top = float(first.max(initial=0.0))
     if math.isinf(p):
         return top
     if top <= 0.0:
         return 0.0
-    selection = _cover(dictionary, norms, terms, top / _LEVEL_SPAN)
+    selection = _cover(dictionary, norms, terms, first, top / _LEVEL_SPAN)
     return _quasinorm_from_profile(top, selection, p)
 
 

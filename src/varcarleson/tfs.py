@@ -13,8 +13,10 @@ reference measure deta dy dt gets node weights d_eta * d_y * (t * log rho),
 and on a tree the model measure dtheta dzeta dsigma/sigma becomes
 (deta dy dt)/s_T.  A dictionary holds its elements' node masks as one boolean
 incidence per region, stacked (n_elements, n_eta, n_y, n_t); the membership
-functions are its one-element case.  Segment reductions over a tree
-dictionary's rows read a per-row cell index derived from that incidence.
+functions are its one-element case.  Full size evaluations over a tree
+dictionary, sums and maxima alike, are segment reductions over a per-row cell
+index derived from that incidence; only the outer-measure cover's decrements
+read the dense incidence itself.
 """
 
 from __future__ import annotations
@@ -328,8 +330,9 @@ class TreeDictionary:
 
         Each row is led by the sentinel cell -1, so a row without cells
         still has a segment; a flat density with a 0 appended reduces over
-        every row with one ``np.maximum.reduceat(padded[index], starts)``.
-        Built on first use and kept per region.
+        every row with one ``np.add.reduceat(padded[index], starts)`` for a
+        sum or ``np.maximum.reduceat`` for a max, and the sentinel's 0
+        changes neither.  Built on first use and kept per region.
         """
         if region not in self._cells:
             flat = self.incidence(region).reshape(len(self), math.prod(self.grid.shape))

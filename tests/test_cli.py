@@ -389,13 +389,32 @@ def test_signal_too_coarse_for_scales_is_rejected(tmp_path, capsys, section, ove
             ("converge.xi_range", ["converge"], [[0.25, 99.0], [0.0, 1.0], [2.0, 1.0]]),
             # a selection draws distinct levels from the 128 frequencies at tiny
             ("sweep.levels", ["sweep"], [1, 0, 200]),
+            # signal steps and widths that make_signal refuses
+            ("sweep.signal.dx", ["sweep"], [0, -0.125]),
+            ("dual.signal.dx", ["verify", "dual"], [0]),
+            ("ptnm.signal.dx", ["verify", "ptnm"], [0]),
+            ("converge.gaussian.sigma", ["converge"], [0, -0.4]),
+            # bands must sit inside (0, Nyquist), which is 4 for the sweep at tiny
+            ("sweep.signal.band", ["sweep"], [0, 4.0]),
+            ("dual.signal.band", ["verify", "dual"], [0]),
+            ("holder.signal.band", ["verify", "holder"], [0]),
+            ("domination.signal.band", ["verify", "domination"], [0]),
+            ("ptnm.signal.band", ["verify", "ptnm"], [0]),
+            ("packets.signal.band", ["packets", "dump"], [0]),
+            ("converge.bandlimited.band", ["converge"], [0]),
+            # TFS grid axes: at least two ascending nodes, a rising scale ladder
+            ("holder.grid.y", ["verify", "holder"], [[-4, 4, -2], [-4, 4, 1], [4, -4, 9]]),
+            ("domination.grid.eta", ["verify", "domination"], [[-2, 2, 0], [-2, 2, 16.5]]),
+            ("packets.grid.t", ["packets", "dump"], [[0.4, 1.6, 1.0], [1.6, 0.4, 2.0], [0.4]]),
         )
     ],
 )
 def test_out_of_range_setting_is_rejected(tmp_path, capsys, name, command, values):
-    section, key = name.split(".")
     for value in values:
-        path = write_config(tmp_path, {section: {key: value}}, "range.json")
+        payload = value
+        for key in reversed(name.split(".")):
+            payload = {key: payload}
+        path = write_config(tmp_path, payload, "range.json")
         assert main(command + ["--preset", "tiny", "--config", path]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert name in captured.err

@@ -136,7 +136,7 @@ def test_embed_signal_modulation_covariance(config):
     assert np.abs(lhs - rhs).max() <= 1e-12 * scale
 
 
-def test_embed_signal_slow_path_matches_fast(config):
+def test_embed_signal_commutes_with_y_subsampling(config):
     f = make_signal("bandlimited-random", {"band": 0.3}, n=256, dx=1.0 / 16.0,
                     space=SPACE, seed=2)
     fast_grid = signal_grid_tfs(f, (-0.5, 0.5), 5, 0.1, 0.3)

@@ -300,6 +300,24 @@ def test_region_max_matches_dense_oracle(ref_dictionaries, name):
     assert empty_rows > 0  # the out regions have trees without cells
 
 
+@pytest.mark.parametrize("name", ["holder", "domination+", "domination-"])
+def test_region_sum_matches_dense_oracle(ref_dictionaries, name):
+    # the segment sums of a full size evaluation against the dense product
+    dictionary = ref_dictionaries[name]
+    cells = dictionary.masks[0].size
+    rng = np.random.default_rng(5)
+    density = rng.random(cells)
+    density[rng.random(cells) < 0.4] = 0.0  # exact zeros
+    for region in ("full", "in", "out"):
+        mat = dictionary.incidence(region).reshape(len(dictionary), -1)
+        fast = outersize._sizes_over(dictionary, [(region, 1.0, density)])
+        dense = (mat @ density) / dictionary.scales
+        assert np.allclose(fast, dense, rtol=1e-13, atol=0.0)
+        assert np.all(fast[~mat.any(axis=1)] == 0.0)
+        zero = outersize._sizes_over(dictionary, [(region, 1.0, np.zeros(cells))])
+        assert np.all(zero == 0.0)
+
+
 def test_region_max_reads_zero_on_an_empty_row(setting):
     grid, field, trees, _ = setting
     masks = np.stack([trees.masks[100], np.zeros(grid.shape, dtype=bool), trees.masks[150]])
@@ -333,6 +351,27 @@ def test_strip_meeting_no_tree_has_size_zero(setting, monkeypatch):
     assert local > 0.0
     monkeypatch.setattr(outersize, "_strip_subsets", lambda t, s: (t,) * len(s))
     assert iterated_quasinorm(field, one, strips, SizeSpec("f"), 2.0, 2.0) == local
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SizeSpec("lp", 2.0, region) for region in ("full", "in", "out")]
+    + [SizeSpec("lp", math.inf), SizeSpec("f"), SizeSpec("fstar")],
+    ids=["lp2_full", "lp2_in", "lp2_out", "sup", "f", "fstar"],
+)
+@pytest.mark.parametrize("where", ["setting", "domination"])
+def test_first_cover_size_is_outer_size(setting, ref_dictionaries, spec, where):
+    # the cover's first round is the full evaluation whose largest value is
+    # the outer size, so the two agree exactly
+    if where == "setting":
+        _, field, trees, _ = setting
+    else:
+        trees = ref_dictionaries["domination+"]
+        field = make_field(trees.grid, seed=3)
+    top = outer_size(field, trees, spec)
+    profile = greedy_cover_profile(field, trees, spec, stop_below=top / 1e3)
+    assert top > 0.0
+    assert profile.sizes[0] == top
 
 
 def looped_super_level_measure(selection, level):
