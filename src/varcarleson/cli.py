@@ -457,6 +457,19 @@ def _check_band(settings: dict, band_key: str, dx_key: str) -> None:
         )
 
 
+def _check_gaussian(settings: dict, space: NormedSpace) -> None:
+    """Reject a converge Gaussian that make_signal's edge-decay rule refuses on its grid."""
+    sec = settings["converge"]
+    sigma = _check_positive(settings, "converge.gaussian.sigma")
+    try:
+        make_signal("gaussian", {"sigma": sigma}, n=sec["n"], dx=sec["dx"], space=space)
+    except ConfigurationError as exc:
+        raise ConfigurationError(
+            "config keys 'converge.gaussian.sigma', 'converge.n' and 'converge.dx' "
+            f"do not fit together: {exc}"
+        ) from None
+
+
 def _draw_cells(sec: dict, name: str) -> tuple:
     """The frequency cell 1/(n dx) of the section's signal and the range ``name`` in cells."""
     dxi = 1.0 / (int(sec["signal"]["n"]) * float(sec["signal"]["dx"]))
@@ -512,11 +525,11 @@ def resolve_config(
         _check_embedded_signal(settings, name)
     for band_key, dx_key in _BANDS:
         _check_band(settings, band_key, dx_key)
-    _check_positive(settings, "converge.gaussian.sigma")
     _check_gap_cells(settings["domination"])
     if seed is not None:
         settings["seed"] = seed
     space = NormedSpace(int(settings["space"]["dim"]), float(settings["space"]["exponent"]))
+    _check_gaussian(settings, space)
     return ExperimentConfig(
         experiment=experiment,
         seed=int(settings["seed"]),
@@ -551,6 +564,17 @@ def _embed_config(settings: dict) -> EmbeddingConfig:
 def _grid_from(sec: dict) -> TFSGrid:
     eta, y, t = sec["eta"], sec["y"], sec["t"]
     return TFSGrid.build((eta[0], eta[1]), eta[2], (y[0], y[1]), y[2], t[0], t[1], t[2])
+
+
+def _covering_build(section: str, keys: tuple, build, *args, **kwargs):
+    """Build a dictionary; one that leaves the grid uncovered names the config keys."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigurationError as exc:
+        names = [f"'{section}.{key}'" for key in ("grid",) + keys]
+        raise ConfigurationError(
+            f"config keys {', '.join(names[:-1])} and {names[-1]} do not fit together: {exc}"
+        ) from None
 
 
 def _seed_of(*parts) -> int:
@@ -726,11 +750,14 @@ def holder_corpus_maxima(config: ExperimentConfig) -> dict:
     embed_cfg = _embed_config(config.settings)
     grid = _grid_from(sec["grid"])
     theta, theta_in = theta_windows(table, +1)
-    trees = TreeDictionary.build(
-        grid, theta, theta_in,
+    trees = _covering_build(
+        "holder", ("eta_stride", "y_stride"), TreeDictionary.build, grid, theta, theta_in,
         eta_stride=int(sec["eta_stride"]), y_stride=int(sec["y_stride"]),
     )
-    strips = StripDictionary.build(grid, y_stride=int(sec["strip_stride"]))
+    strips = _covering_build(
+        "holder", ("strip_stride",), StripDictionary.build,
+        grid, y_stride=int(sec["strip_stride"]),
+    )
     p, q = float(sec["p"]), float(sec["q"])
     max_full = max_leb = 0.0
     degenerate = 0
@@ -800,8 +827,9 @@ def domination_corpus_maxima(config: ExperimentConfig) -> dict:
     table = _table_from(config.settings)
     embed_cfg = _embed_config(config.settings)
     grid = _grid_from(sec["grid"])
-    dictionaries = domination_dictionaries(
-        grid, table, eta_stride=int(sec["eta_stride"]), y_stride=int(sec["y_stride"])
+    dictionaries = _covering_build(
+        "domination", ("eta_stride", "y_stride"), domination_dictionaries, grid, table,
+        eta_stride=int(sec["eta_stride"]), y_stride=int(sec["y_stride"]),
     )
     # each draw excludes up to max_excluded distinct trees of each sign
     trees = min(len(d.masks) for d in dictionaries.values())

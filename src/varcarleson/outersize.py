@@ -10,11 +10,14 @@ level and the outer Lebesgue quasinorm is a weighted integral of the prefix
 costs over 64 logarithmically spaced levels.  Iterated quasinorms run the
 same engine at strip level with the strip-localized, scale-normalized inner
 quasinorm as the size; each strip's inner cover runs on only the trees that
-meet the strip.  A full size evaluation reads, for sum and max terms alike,
-the per-row cell index derived from the dictionary's boolean incidence: one
-segment sum or max per tree.  Only the cover's decrements (its dense seed and
-exact removals, which give the sizes from its second round on) read the dense
-incidence.
+meet the strip.  The outer size of a pure sup size is the largest density
+over the dictionary's covered cells (the union of its trees' region cells,
+one cell mask kept per region), which is exactly the largest per-tree max.
+Every other full size evaluation reads, for sum and per-tree max terms
+alike, the per-row cell index derived from the dictionary's boolean
+incidence: one segment sum or max per tree.  Only the cover's decrements
+(its dense seed and exact removals, which give the sizes from its second
+round on) read the dense incidence.
 
 Each quasinorm call builds the field's size terms once, and the top and the
 cover share them.  The full evaluation whose largest value is the top is also
@@ -25,9 +28,10 @@ a zeroed cell gives exact zeros.  ``tests/test_outersize.py`` pins both
 against the restricted-field route
 (``test_zeroed_terms_match_restricted_field``), the argmax pick against the
 full tie-rule lexsort (``test_lex_pick_matches_full_lexsort``), the segment
-sums against the dense product (``test_region_sum_matches_dense_oracle``) and
-the first recorded size against the outer size
-(``test_first_cover_size_is_outer_size``).
+sums against the dense product (``test_region_sum_matches_dense_oracle``),
+the sup over the covered cells against the per-tree maxima
+(``test_sup_size_is_largest_tree_max``) and the first recorded size against
+the outer size (``test_first_cover_size_is_outer_size``).
 """
 
 from __future__ import annotations
@@ -213,8 +217,17 @@ def local_size(field: OuterField, element, spec: SizeSpec) -> float:
 
 
 def outer_size(field: OuterField, dictionary: TreeDictionary, spec: SizeSpec) -> float:
-    """Outer essential supremum: the largest local size over the dictionary (0 if empty)."""
-    return float(_sizes_over(dictionary, _size_terms(field, spec)[1]).max(initial=0.0))
+    """Outer essential supremum: the largest local size over the dictionary (0 if empty).
+
+    A pure sup size (``lp`` with exponent inf) is the largest density over the
+    union of the trees' region cells, which equals the largest per-tree max
+    exactly; every other size takes the largest of the per-tree sizes.
+    """
+    terms = _size_terms(field, spec)[1]
+    if len(terms) == 1 and math.isinf(terms[0][1]):
+        region, _, density = terms[0]
+        return float(density[dictionary._union(region)].max(initial=0.0))
+    return float(_sizes_over(dictionary, terms).max(initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,9 @@ and on a tree the model measure dtheta dzeta dsigma/sigma becomes
 incidence per region, stacked (n_elements, n_eta, n_y, n_t); the membership
 functions are its one-element case.  Full size evaluations over a tree
 dictionary, sums and maxima alike, are segment reductions over a per-row cell
-index derived from that incidence; only the outer-measure cover's decrements
-read the dense incidence itself.
+index derived from that incidence, and a pure sup size reads the union of the
+rows as one cell mask; only the outer-measure cover's decrements read the
+dense incidence itself.
 """
 
 from __future__ import annotations
@@ -279,8 +280,8 @@ class TreeDictionary:
     """Trees with tops on the grid across a ladder of scales, plus node masks.
 
     ``masks`` is the full-tree incidence, one boolean row per tree, shape
-    (n_trees, n_eta, n_y, n_t); the in/out parts are built alongside it and
-    read through :meth:`incidence`.  ``scales`` and ``offsets`` hold each
+    (n_trees, n_eta, n_y, n_t); the in/out parts are split off it on first
+    use and read through :meth:`incidence`.  ``scales`` and ``offsets`` hold each
     tree's top scale s and top distance |x| from the origin.
     """
 
@@ -291,11 +292,9 @@ class TreeDictionary:
     def __post_init__(self):
         full = _stacked(self.masks, len(self.trees), self.grid)
         object.__setattr__(self, "masks", full)
-        regions = {"full": full}
-        for region in ("in", "out"):
-            regions[region] = _freeze(_split(self.grid, self.trees, full, region))
-        object.__setattr__(self, "_regions", regions)
+        object.__setattr__(self, "_regions", {"full": full})
         object.__setattr__(self, "_cells", {})
+        object.__setattr__(self, "_unions", {})
         _set_tops(self, self.trees)
 
     @classmethod
@@ -320,9 +319,12 @@ class TreeDictionary:
         return cls(grid=grid, trees=kept, masks=masks)
 
     def incidence(self, region: str = "full") -> np.ndarray:
-        """Stacked node masks of every tree's full, in, or out part."""
+        """Stacked node masks of every tree's full, in, or out part.
+
+        The in/out parts are split off the full incidence on first use and kept.
+        """
         if region not in self._regions:
-            raise ValueError(f"region must be 'full', 'in', or 'out', got {region!r}")
+            self._regions[region] = _freeze(_split(self.grid, self.trees, self.masks, region))
         return self._regions[region]
 
     def _row_cells(self, region: str) -> tuple:
@@ -340,6 +342,17 @@ class TreeDictionary:
             _, cols = np.nonzero(np.hstack([sentinel, flat]))
             self._cells[region] = (_freeze(cols - 1), _freeze(np.flatnonzero(cols == 0)))
         return self._cells[region]
+
+    def _union(self, region: str) -> np.ndarray:
+        """Flat cell mask of the cells in some tree's region part.
+
+        A sub-dictionary need not cover the grid, so this is not all cells.
+        Built on first use and kept per region.
+        """
+        if region not in self._unions:
+            flat = self.incidence(region).reshape(len(self), math.prod(self.grid.shape))
+            self._unions[region] = _freeze(flat.any(axis=0))
+        return self._unions[region]
 
     def __len__(self) -> int:
         return len(self.trees)

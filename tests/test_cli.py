@@ -393,7 +393,8 @@ def test_signal_too_coarse_for_scales_is_rejected(tmp_path, capsys, section, ove
             ("sweep.signal.dx", ["sweep"], [0, -0.125]),
             ("dual.signal.dx", ["verify", "dual"], [0]),
             ("ptnm.signal.dx", ["verify", "ptnm"], [0]),
-            ("converge.gaussian.sigma", ["converge"], [0, -0.4]),
+            # at tiny a sigma of 5 leaves the Gaussian above 1e-12 of its peak at the edges
+            ("converge.gaussian.sigma", ["converge"], [0, -0.4, 5.0]),
             # bands must sit inside (0, Nyquist), which is 4 for the sweep at tiny
             ("sweep.signal.band", ["sweep"], [0, 4.0]),
             ("dual.signal.band", ["verify", "dual"], [0]),
@@ -419,6 +420,36 @@ def test_out_of_range_setting_is_rejected(tmp_path, capsys, name, command, value
         captured = capsys.readouterr()
         assert name in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "payload, command, keys",
+    [
+        pytest.param(
+            {"converge": {"gaussian": {"sigma": 5.0}}}, ["converge"],
+            ["converge.gaussian.sigma", "converge.n", "converge.dx"], id="converge-gaussian",
+        ),
+        # two eta nodes: the stride-2 tree tops leave nodes uncovered
+        pytest.param(
+            {"holder": {"grid": {"eta": [-2, 2, 2]}}}, ["verify", "holder"],
+            ["holder.grid", "holder.eta_stride", "holder.y_stride"], id="holder-grid",
+        ),
+        pytest.param(
+            {"domination": {"grid": {"eta": [-2, 2, 2]}}}, ["verify", "domination"],
+            ["domination.grid", "domination.eta_stride", "domination.y_stride"],
+            id="domination-grid",
+        ),
+    ],
+)
+def test_settings_that_do_not_fit_together_name_every_key(
+    tmp_path, capsys, payload, command, keys
+):
+    path = write_config(tmp_path, payload)
+    assert main(command + ["--preset", "tiny", "--config", path]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    for key in keys:
+        assert f"'{key}'" in captured.err
+    assert captured.out == ""
 
 
 def test_runs_without_scipy(tmp_path):

@@ -329,6 +329,60 @@ def test_region_max_reads_zero_on_an_empty_row(setting):
         assert np.array_equal(fast, dense_region_max(hand, region, density))
 
 
+def assert_sup_size_is_largest_tree_max(field, dictionary):
+    """The sup outer size over the union of the trees against the per-tree maxima."""
+    for region in ("full", "in", "out"):
+        spec = SizeSpec("lp", math.inf, region)
+        terms = outersize._size_terms(field, spec)[1]
+        per_tree = float(outersize._sizes_over(dictionary, terms).max(initial=0.0))
+        assert outer_size(field, dictionary, spec) == per_tree
+
+
+@pytest.mark.parametrize("name", ["holder", "domination+", "domination-"])
+def test_sup_size_is_largest_tree_max(ref_dictionaries, name):
+    dictionary = ref_dictionaries[name]
+    grid = dictionary.grid
+    rng = np.random.default_rng(11)
+    field = make_field(grid, seed=4)
+    holes = np.where((rng.random(grid.shape) < 0.4)[..., None], 0.0, field.values)
+    sparse = OuterField(grid, holes, field.space)  # exact zeros
+    zero = OuterField(grid, np.zeros_like(field.values), field.space)
+    # zeroed on the union of a few trees, as a domination draw excludes them
+    excluded = dictionary.masks[rng.choice(len(dictionary), size=3, replace=False)].any(axis=0)
+    for case in (field, sparse, zero, field.restrict(~excluded)):
+        assert_sup_size_is_largest_tree_max(case, dictionary)
+    assert outer_size(zero, dictionary, SizeSpec("lp", math.inf)) == 0.0
+
+
+def test_sup_size_reads_only_a_sub_dictionary_s_cells(ref_dictionaries):
+    # a strip's sub-dictionary can leave cells uncovered: a peak there is not its size
+    trees = ref_dictionaries["holder"]
+    grid = trees.grid
+    stride = cli.resolve_config("verify", preset="ref").settings["holder"]["strip_stride"]
+    strips = StripDictionary.build(grid, y_stride=int(stride))
+    subsets = outersize._strip_subsets(trees, strips)
+    sub = max(subsets, key=lambda d: np.count_nonzero(~d._union("full")))
+    outside = np.flatnonzero(~sub._union("full"))
+    assert 0 < len(sub) < len(trees) and outside.size > 0
+    field = make_field(grid, seed=6)
+    values = field.values.copy().reshape(-1, field.space.dim)
+    values[outside[0]] = 10.0 * field.norms().max()
+    peaked = OuterField(grid, values.reshape(field.values.shape), field.space)
+    assert_sup_size_is_largest_tree_max(peaked, sub)
+    sup = outer_size(peaked, sub, SizeSpec("lp", math.inf))
+    assert 0.0 < sup < peaked.norms().max()
+
+
+def test_sup_size_with_empty_rows(setting):
+    grid, field, trees, _ = setting
+    masks = np.stack([trees.masks[100], np.zeros(grid.shape, dtype=bool), trees.masks[150]])
+    hand = TreeDictionary(grid, (trees.trees[100], trees.trees[120], trees.trees[150]), masks)
+    assert_sup_size_is_largest_tree_max(field, hand)
+    empty = TreeDictionary(grid, (trees.trees[120],), np.zeros((1,) + grid.shape, dtype=bool))
+    assert_sup_size_is_largest_tree_max(field, empty)
+    assert outer_size(field, empty, SizeSpec("lp", math.inf)) == 0.0
+
+
 @pytest.mark.parametrize(
     "spec", [SizeSpec("lp", 2.0, "full"), SizeSpec("f"), SizeSpec("fstar")],
     ids=["lp2", "f", "fstar"],
