@@ -340,10 +340,11 @@ _RULE_SIZES = (
     ("reconstruction.cells", 2),
     ("reconstruction.refine", 2),
 )
-# integer settings and the least value each may take (a selection needs 2 levels)
+# integer settings and the least value each may take (a selection needs 2 levels,
+# and the embedding kernel a decay power of 2)
 _LEAST = (
     tuple((name, 1) for name in _CORPUS_COUNTS + _STRIDES)
-    + (("ptnm.candidates", 0), ("sweep.levels", 2))
+    + (("ptnm.candidates", 0), ("sweep.levels", 2), ("embed.N", 2))
     + _RULE_SIZES
 )
 # [lo, hi] ranges and the order their ends must keep: frequency intervals are
@@ -428,6 +429,23 @@ def _check_cutoffs(settings: dict) -> None:
     nyquist = 0.5 / _check_positive(settings, "converge.dx")
     order = f"0 < lo < hi < 0.5/converge.dx = {nyquist:g}"
     _check_range(settings, "converge.xi_range", order, lambda lo, hi: 0.0 < lo < hi < nyquist)
+
+
+def _check_table_and_embedding(settings: dict) -> None:
+    """Reject bump radii that BumpSpec refuses and a lattice exponent below 1.
+
+    Builds no table: BumpSpec only checks its radii.
+    """
+    table = settings["table"]
+    try:
+        BumpSpec(table["b"], table["eps"])
+    except ConfigurationError as exc:
+        raise ConfigurationError(
+            f"config keys 'table.b' and 'table.eps' do not fit: {exc}"
+        ) from None
+    rprime = settings["embed"]["rprime"]
+    if not rprime >= 1.0:  # inf is allowed, NaN is not
+        raise ConfigurationError(f"config key 'embed.rprime' must be at least 1, got {rprime!r}")
 
 
 def _check_embedded_signal(settings: dict, name: str) -> None:
@@ -521,6 +539,7 @@ def resolve_config(
     _check_cutoffs(settings)
     for name, ends, order, holds in _GRID_AXES:
         _check_range(settings, name, order, holds, ends)
+    _check_table_and_embedding(settings)
     for name in _EMBEDDED_SIGNALS:
         _check_embedded_signal(settings, name)
     for band_key, dx_key in _BANDS:

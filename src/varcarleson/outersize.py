@@ -397,10 +397,28 @@ def super_level_measure(selection: CoverSelection, level: float) -> float:
     return float(_prefix_measures(selection, np.array([level]))[0])
 
 
+def _level_grid(top: float) -> np.ndarray:
+    """``np.geomspace(top / _LEVEL_SPAN, top, _LEVELS)`` bit for bit, at a fraction of its cost.
+
+    These are geomspace's own rounded steps: a linspace of the base-10 logs
+    with its last end reset, the power, then both ends reset.
+    """
+    lowest = top / _LEVEL_SPAN
+    if lowest == 0.0:
+        raise ValueError("Geometric sequence cannot include zero")
+    a, b = np.log10(lowest), np.log10(top)
+    y = np.arange(float(_LEVELS)) * ((b - a) / (_LEVELS - 1))
+    y += a
+    y[-1] = b
+    levels = 10.0**y
+    levels[0], levels[-1] = lowest, top
+    return levels
+
+
 def _quasinorm_from_profile(top: float, selection: CoverSelection, p: float) -> float:
     if top <= 0.0:
         return 0.0
-    levels = np.geomspace(top / _LEVEL_SPAN, top, _LEVELS)
+    levels = _level_grid(top)
     # left limits: at the top level itself the measure has already dropped
     mu = _prefix_measures(selection, levels * _LEFT_LIMIT)
     integrand = p * levels**p * mu

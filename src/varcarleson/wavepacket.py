@@ -13,7 +13,12 @@ Construction chain:
   chi_minus(t(eta - 1) + 1)`` over all modulations ``eta`` and scales ``t``.
   The substitution ``v = t eta, w = t xi`` (Jacobian ``deta dt = dv dw / w``)
   turns this into an integral over the fixed compact box ``v in B_eps(1)``,
-  ``|w - v| < b/2``, evaluated by tensor Gauss-Legendre quadrature.
+  ``|w - v| < b/2``, evaluated by tensor Gauss-Legendre quadrature.  The
+  box sum runs only on the transition band, where ``chi_minus`` is neither
+  exactly 1 nor exactly 0 on the whole box; elsewhere the value is the
+  all-ones box sum or 0, bit for bit what the box sum gives.
+  :func:`assemble_m` still checks positivity, symmetry and flatness at every
+  knot.
 * ``m = m_plus + m_minus`` with ``m_minus(xi) = m_plus(1 - xi)`` is positive,
   symmetric about 1/2, and exactly constant outside ``B_{b/2}(1/2)``; it is
   extended by that constant outside ``(0, 1)``.  :class:`MultiplierTable`
@@ -30,6 +35,7 @@ Construction chain:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -185,11 +191,13 @@ def build_bumps(spec: BumpSpec) -> Bumps:
     return _bumps_cache[spec]
 
 
+@functools.lru_cache(maxsize=None)
 def _box_nodes(spec: BumpSpec, order: int):
     """Gauss-Legendre nodes/weights for the compactified (v, w) box.
 
     Returns v (q,), w (q, q) with w[i] covering v[i] +- b/2, and the
-    xi-independent weight matrix chi(v-1) phi_hat(w-v) / w * (GL weights).
+    xi-independent weight matrix chi(v-1) phi_hat(w-v) / w * (GL weights),
+    all frozen: built once per (spec, order) and shared after.
     """
     nodes, weights = leggauss(order)
     eps, half_b = spec.eps, 0.5 * spec.b
@@ -205,11 +213,21 @@ def _box_nodes(spec: BumpSpec, order: int):
         * wv[:, None]
         * ww[None, :]
     )
-    return v, w, base, bumps
+    return _freeze(v), _freeze(w), _freeze(base), bumps
 
 
 def _m_plus_on_values(spec: BumpSpec, xi: np.ndarray, order: int) -> np.ndarray:
-    """Raw integral values for xi > 0 (vectorized); zero where xi <= 0."""
+    """Raw integral values for xi > 0 (vectorized); zero where xi <= 0.
+
+    The box sum of ``base * chi_minus(v - w / xi + 1)`` runs only on the
+    transition band.  ``leggauss`` nodes ascend and every rounded step of
+    that argument is monotone, so each box row's computed argument is
+    largest at ``w[:, 0]`` and smallest at ``w[:, -1]``, exactly.  Where
+    the largest is ``<= -eps``, ``chi_minus`` is exactly 1 on the whole box
+    and the value is the all-ones box sum; where the smallest is ``>= eps``,
+    it is exactly 0 and so is the value.  Either way the value is the box
+    sum bit for bit.
+    """
     v, w, base, bumps = _box_nodes(spec, order)
     xi = np.asarray(xi, dtype=float)
     out = np.zeros(xi.shape)
@@ -217,13 +235,19 @@ def _m_plus_on_values(spec: BumpSpec, xi: np.ndarray, order: int) -> np.ndarray:
     if not np.any(pos):
         return out
     xp = xi[pos]
+    eps = spec.eps
+    with np.errstate(divide="ignore", over="ignore"):  # xi near 0: w/xi blows up benignly
+        top = (v[None, :] - w[None, :, 0] / xp[:, None] + 1.0).max(axis=1)
+        bottom = (v[None, :] - w[None, :, -1] / xp[:, None] + 1.0).min(axis=1)
+    ones = top <= -eps
+    band = np.flatnonzero(~ones & (bottom < eps))
+    vals = np.zeros(xp.size)
+    vals[ones] = base[None, :, :].sum(axis=(1, 2))[0]  # the box sum's own reduction
     block = max(1, (1 << 22) // (order * order))
-    vals = np.empty(xp.size)
-    for start in range(0, xp.size, block):
-        sel = slice(start, min(start + block, xp.size))
-        with np.errstate(divide="ignore", over="ignore"):  # xi near 0: w/xi blows up benignly
-            arg = v[None, :, None] - w[None, :, :] / xp[sel, None, None] + 1.0
-        vals[sel] = (base[None, :, :] * bumps.chi_minus(arg)).sum(axis=(1, 2))
+    for start in range(0, band.size, block):
+        at = band[start : start + block]
+        arg = v[None, :, None] - w[None, :, :] / xp[at, None, None] + 1.0
+        vals[at] = (base[None, :, :] * bumps.chi_minus(arg)).sum(axis=(1, 2))
     out[pos] = vals
     return out
 

@@ -456,6 +456,16 @@ def test_super_level_measure_matches_loop(setting):
     assert outersize._prefix_measures(empty, levels).tolist() == [0.0] * levels.size
 
 
+def test_level_grid_is_geomspace():
+    rng = np.random.default_rng(11)
+    tops = np.concatenate([rng.lognormal(0.0, 8.0, 4000), [1e-300, 1e300, 1e-320, 1.0, 1e3]])
+    for top in tops.tolist():
+        assert np.array_equal(outersize._level_grid(top), np.geomspace(top / 1e3, top, 64))
+    for top in (5e-324, 1e-322):  # the lowest level underflows to 0, as geomspace refuses
+        with pytest.raises(ValueError):
+            outersize._level_grid(top)
+
+
 def test_super_level_measure_monotone_and_certified(setting):
     grid, field, trees, _ = setting
     spec = SizeSpec("lp", 2.0, "full")

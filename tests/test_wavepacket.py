@@ -141,6 +141,55 @@ def test_assemble_construction_defect_is_a_program_error(monkeypatch):
     assert not isinstance(err.value, ConfigurationError)
 
 
+def dense_m_plus(spec, xi, order):
+    """The box sum of compute_m_plus run at every xi, with no band classification (oracle)."""
+    v, w, base, bumps = wavepacket._box_nodes(spec, order)
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    out = np.where(xi <= 0.0, base.sum(), 0.0)
+    inside = np.flatnonzero((xi > 0.0) & (xi < 1.0))
+    block = max(1, (1 << 22) // (order * order))
+    for start in range(0, inside.size, block):
+        at = inside[start:start + block]
+        with np.errstate(divide="ignore", over="ignore"):
+            arg = v[None, :, None] - w[None, :, :] / xi[at, None, None] + 1.0
+        out[at] = (base[None, :, :] * bumps.chi_minus(arg)).sum(axis=(1, 2))
+    return out
+
+
+PRESET_SPEC = BumpSpec(0.125, 1.0 / 128.0)  # the table of every vc preset
+
+
+@pytest.mark.parametrize("spec", [BumpSpec(), PRESET_SPEC], ids=["default", "preset"])
+def test_banded_quadrature_matches_dense_box_sum(spec):
+    knots = np.linspace(-wavepacket._M_DELTA, 1.0 + wavepacket._M_DELTA, wavepacket._M_KNOTS)
+    xi = np.concatenate([knots, [-3.0, -1e-300, 0.0, 1e-300, 1e-12, 1.0, 1.5]])
+    assert np.array_equal(compute_m_plus(spec, xi), dense_m_plus(spec, xi, 64))
+    few = np.array([1e-9, 0.3, 0.5 - 0.5 * spec.b, 0.49, 0.5, 0.52, 0.6, 0.999])
+    for order in (32, 256):
+        assert np.array_equal(compute_m_plus(spec, few, order), dense_m_plus(spec, few, order))
+    table = assemble_m(spec)
+    m_plus = dense_m_plus(spec, knots, 64)
+    m_raw = m_plus + m_plus[::-1]
+    half = 0.5 * spec.b
+    flat = (knots <= 0.5 - half) | (knots >= 0.5 + half)
+    assert table.m0 == dense_m_plus(spec, 0.0, 64)[0]
+    assert np.array_equal(table.m_values, np.where(flat, table.m0, 0.5 * (m_raw + m_raw[::-1])))
+
+
+def test_preset_table_has_all_three_knot_classes():
+    # the band route must see knots where chi_minus is 1, 0 and neither on the box
+    eps = PRESET_SPEC.eps
+    v, w, _, _ = wavepacket._box_nodes(PRESET_SPEC, 64)
+    xi = np.linspace(-wavepacket._M_DELTA, 1.0 + wavepacket._M_DELTA, wavepacket._M_KNOTS)
+    xi = xi[(xi > 0.0) & (xi < 1.0)][::8]  # every 8th knot keeps the box small
+    arg = v[None, :, None] - w[None, :, :] / xi[:, None, None] + 1.0
+    ones = (arg <= -eps).all(axis=(1, 2))
+    zeros = (arg >= eps).all(axis=(1, 2))
+    assert ones.any() and zeros.any() and (~ones & ~zeros).any()
+    assert wavepacket._box_nodes(PRESET_SPEC, 64)[2] is wavepacket._box_nodes(PRESET_SPEC, 64)[2]
+    assert not wavepacket._box_nodes(PRESET_SPEC, 64)[2].flags.writeable
+
+
 def _knot_sets():
     rng = np.random.default_rng(3)
     uniform = np.linspace(-1.0, 2.0, 41)
