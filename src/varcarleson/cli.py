@@ -24,7 +24,8 @@ Flags shared by all subcommands: ``--preset tiny|ref|fine`` picks a pinned
 resolution bundle, ``--config FILE`` deep-merges a JSON object over the
 preset, ``--seed N`` overrides the seed, ``--out PATH`` redirects the
 artifact (required for ``packets dump``).  Exit codes: 0 all checks pass,
-1 tolerance failure, 2 configuration or I/O error.
+1 tolerance failure, 2 configuration or I/O error, 3 internal error (a
+program fault; ``vc: internal error`` and the traceback go to stderr).
 
 Corpus distributions: random signals draw independent complex Gaussian
 spectral coefficients on the covered band (``bandlimited-random``); cutoff
@@ -43,6 +44,7 @@ import csv
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass
 from importlib import resources
 
@@ -89,7 +91,7 @@ __all__ = [
     "main",
 ]
 
-EXIT_OK, EXIT_FAIL, EXIT_CONFIG = 0, 1, 2
+EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_INTERNAL = 0, 1, 2, 3
 
 VERIFY_KINDS = ("reconstruction", "dual", "holder", "domination", "ptnm")
 
@@ -281,9 +283,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (0 <= self.seed < 2**64):
             raise ConfigurationError(f"seed must be a u64, got {self.seed}")
-        for key in ("p", "q", "r", "r0"):
-            if key not in self.exponents:
-                raise ConfigurationError(f"exponents section is missing {key!r}")
 
     def admissibility(self) -> dict:
         e = self.exponents
@@ -310,87 +309,6 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-# counts that must be at least 1: a corpus or point count below 1 would run no
-# check and pass vacuously, and each domination draw excludes between 1 and
-# max_excluded trees per sign
-_CORPUS_COUNTS = (
-    "sweep.corpus",
-    "dual.instances",
-    "holder.pairs",
-    "domination.instances",
-    "domination.max_excluded",
-    "ptnm.signals",
-    "reconstruction.points",
-    "converge.points",
-)
-# strides through the grid when placing dictionary tops: a negative stride
-# would reverse the tops and a zero one cannot slice
-_STRIDES = (
-    "holder.eta_stride",
-    "holder.y_stride",
-    "holder.strip_stride",
-    "domination.eta_stride",
-    "domination.y_stride",
-)
-# quadrature and refinement sizes below which the dual representation and the
-# reconstruction check have no rule to run
-_RULE_SIZES = (
-    ("dual.t_steps", 8),
-    ("dual.eta_per_window", 2),
-    ("reconstruction.cells", 2),
-    ("reconstruction.refine", 2),
-)
-# integer settings and the least value each may take (a selection needs 2 levels,
-# and the embedding kernel a decay power of 2)
-_LEAST = (
-    tuple((name, 1) for name in _CORPUS_COUNTS + _STRIDES)
-    + (("ptnm.candidates", 0), ("sweep.levels", 2), ("embed.N", 2))
-    + _RULE_SIZES
-)
-# [lo, hi] ranges and the order their ends must keep: frequency intervals are
-# nonempty, the dual scales span a geometric ladder, the domination cutoff and
-# gap draws may be one point, and a zero gap would draw an empty interval
-_RANGES = (
-    ("reconstruction.interval", "lo < hi", lambda lo, hi: lo < hi),
-    ("dual.interval", "lo < hi", lambda lo, hi: lo < hi),
-    ("packets.interval", "lo < hi", lambda lo, hi: lo < hi),
-    ("dual.t_range", "0 < lo < hi", lambda lo, hi: 0.0 < lo < hi),
-    ("domination.cut_lo", "lo <= hi", lambda lo, hi: lo <= hi),
-    ("domination.gap", "0 < lo <= hi", lambda lo, hi: 0.0 < lo <= hi),
-)
-# exponent lists that must not be empty: an empty one would run no check and
-# pass vacuously
-_VALUE_LISTS = ("sweep.p_values", "sweep.r_values", "sweep.r0_values", "ptnm.s_values")
-# sample counts of signals that go through the radix-2 transform
-_SAMPLE_COUNTS = ("sweep.signal.n", "dual.signal.n", "ptnm.signal.n", "converge.n")
-# sections whose signal is embedded on their TFS grid: the grid's scales must
-# fit the signal's frequency step and band
-_EMBEDDED_SIGNALS = ("holder", "domination", "packets")
-# axes of those TFS grids: eta and y are [lo, hi, count] with at least two
-# nodes, t is [t_min, t_max, ratio] on a rising geometric ladder
-_COUNTED = (
-    ("lo", "hi", "count"),
-    "lo < hi and an integer count >= 2",
-    lambda lo, hi, count: lo < hi and type(count) is int and count >= 2,
-)
-_LADDER = (
-    ("t_min", "t_max", "ratio"),
-    "0 < t_min < t_max and ratio > 1",
-    lambda lo, hi, ratio: 0.0 < lo < hi and ratio > 1.0,
-)
-_GRID_AXES = tuple(
-    (f"{section}.grid.{axis}",) + rule
-    for section in _EMBEDDED_SIGNALS
-    for axis, rule in (("eta", _COUNTED), ("y", _COUNTED), ("t", _LADDER))
-)
-# band-limited signals drawn by make_signal, each band and the step that sets
-# its Nyquist frequency 0.5/dx
-_BANDS = tuple(
-    (f"{section}.signal.band", f"{section}.signal.dx")
-    for section in ("sweep", "dual", "holder", "domination", "ptnm", "packets")
-) + (("converge.bandlimited.band", "converge.dx"),)
-
-
 def _setting(settings: dict, name: str):
     """The value at a dotted config path such as ``sweep.signal.n``."""
     for key in name.split("."):
@@ -398,113 +316,204 @@ def _setting(settings: dict, name: str):
     return settings
 
 
-def _check_range(settings: dict, name: str, order: str, holds, ends=("lo", "hi")) -> None:
-    """Reject a list that is not one finite number per end in the given order."""
-    value = _setting(settings, name)
-    numbers = len(value) == len(ends) and all(
-        type(v) in (int, float) and math.isfinite(v) for v in value
+def _misfit(keys, reason) -> ConfigurationError:
+    """The error for settings that pass their own rules but do not fit together."""
+    names = [f"'{key}'" for key in keys]
+    return ConfigurationError(
+        f"config keys {', '.join(names[:-1])} and {names[-1]} do not fit together: {reason}"
     )
-    if not (numbers and holds(*value)):
-        raise ConfigurationError(
-            f"config key {name!r} must be [{', '.join(ends)}] with {order}, "
-            f"got {json.dumps(value)}"
-        )
 
 
-def _check_positive(settings: dict, name: str) -> float:
-    """Reject a step or width that is not finite and > 0; return it."""
-    value = _setting(settings, name)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ConfigurationError(f"config key {name!r} must be finite and > 0, got {value!r}")
-    return value
+# --- config rules ----------------------------------------------------------------
+# A rule judges the value at its dotted key, given the values at the keys it
+# reads besides, and returns what that value must be, or None when it passes.
+# A rule that calls a library guard lets the guard's ConfigurationError through,
+# and the error then names every key of the rule.
 
 
-def _check_cutoffs(settings: dict) -> None:
-    """Reject sweep and converge cutoffs that their signal's frequency grid cannot hold."""
-    levels, n = settings["sweep"]["levels"], settings["sweep"]["signal"]["n"]
-    if levels > n:  # a selection draws distinct frequencies of the signal
-        raise ConfigurationError(
-            f"config key 'sweep.levels' must be at most sweep.signal.n = {n}, got {levels}"
-        )
-    nyquist = 0.5 / _check_positive(settings, "converge.dx")
-    order = f"0 < lo < hi < 0.5/converge.dx = {nyquist:g}"
-    _check_range(settings, "converge.xi_range", order, lambda lo, hi: 0.0 < lo < hi < nyquist)
+def _is_finite(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
 
 
-def _check_table_and_embedding(settings: dict) -> None:
-    """Reject bump radii that BumpSpec refuses and a lattice exponent below 1.
-
-    Builds no table: BumpSpec only checks its radii.
-    """
-    table = settings["table"]
-    try:
-        BumpSpec(table["b"], table["eps"])
-    except ConfigurationError as exc:
-        raise ConfigurationError(
-            f"config keys 'table.b' and 'table.eps' do not fit: {exc}"
-        ) from None
-    rprime = settings["embed"]["rprime"]
-    if not rprime >= 1.0:  # inf is allowed, NaN is not
-        raise ConfigurationError(f"config key 'embed.rprime' must be at least 1, got {rprime!r}")
+def _rule(need: str, holds):
+    """A rule that asks for ``need`` wherever ``holds`` is false."""
+    return lambda *values: None if holds(*values) else need
 
 
-def _check_embedded_signal(settings: dict, name: str) -> None:
-    """Reject a signal whose frequency grid or band is too coarse for its TFS scales.
-
-    The grid's own axes are checked by key before this runs.
-    """
-    sec = settings[name]
-    n, dx = sec["signal"]["n"], sec["signal"]["dx"]
-    keys = f"config keys '{name}.signal.n', '{name}.signal.dx' and '{name}.grid.t'"
-    if n < 1 or not (math.isfinite(dx) and dx > 0.0):
-        raise ConfigurationError(f"{keys} need n >= 1 and a finite dx > 0, got {n} and {dx}")
-    grid = _grid_from(sec["grid"])
-    try:
-        _check_scales(grid, n, dx, float(settings["table"]["b"]))
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{keys} do not fit together: {exc}") from None
+def _least(bound):  # NaN fails and, in a number slot, inf passes
+    return _rule(f"be at least {bound}", lambda value: value >= bound)
 
 
-def _check_band(settings: dict, band_key: str, dx_key: str) -> None:
-    """Reject a signal step or band that make_signal would refuse."""
-    nyquist = 0.5 / _check_positive(settings, dx_key)
-    band = _setting(settings, band_key)
-    if not (0.0 < band < nyquist):
-        raise ConfigurationError(
-            f"config key {band_key!r} must lie in (0, 0.5/{dx_key} = {nyquist:g}), got {band!r}"
-        )
+def _finite(op: str, bound: int):
+    strict = op == ">"
+    return _rule(
+        f"be finite and {op} {bound}",
+        lambda value: _is_finite(value) and (value > bound if strict else value >= bound),
+    )
 
 
-def _check_gaussian(settings: dict, space: NormedSpace) -> None:
-    """Reject a converge Gaussian that make_signal's edge-decay rule refuses on its grid."""
-    sec = settings["converge"]
-    sigma = _check_positive(settings, "converge.gaussian.sigma")
-    try:
-        make_signal("gaussian", {"sigma": sigma}, n=sec["n"], dx=sec["dx"], space=space)
-    except ConfigurationError as exc:
-        raise ConfigurationError(
-            "config keys 'converge.gaussian.sigma', 'converge.n' and 'converge.dx' "
-            f"do not fit together: {exc}"
-        ) from None
+def _each(op: str, bound: int):
+    element = _finite(op, bound)
+    return _rule(
+        f"list at least one value, each finite and {op} {bound}",
+        lambda values: bool(values) and all(element(v) is None for v in values),
+    )
 
 
-def _draw_cells(sec: dict, name: str) -> tuple:
-    """The frequency cell 1/(n dx) of the section's signal and the range ``name`` in cells."""
-    dxi = 1.0 / (int(sec["signal"]["n"]) * float(sec["signal"]["dx"]))
-    return dxi, [int(round(v / dxi)) for v in sec[name]]
+def _ordered(ends: tuple, order: str, holds):
+    return _rule(
+        f"be [{', '.join(ends)}] with {order}",
+        lambda value: len(value) == len(ends) and all(map(_is_finite, value)) and holds(*value),
+    )
 
 
-def _check_gap_cells(sec: dict) -> None:
-    """Reject a domination gap that rounds to 0 frequency cells: it draws empty intervals.
+def _at_most_samples(levels, n):  # a selection draws distinct frequencies of its signal
+    return None if levels <= n else f"be at most sweep.signal.n = {n}"
 
-    The cutoff needs no such check: rounding keeps the order of its ends.
-    """
-    dxi, cells = _draw_cells(sec, "gap")
-    if cells[0] < 1:
-        raise ConfigurationError(
-            f"config key 'domination.gap' must span at least one frequency cell "
-            f"1/(n dx) = {dxi:g}, got {json.dumps(sec['gap'])} as {cells} cells"
-        )
+
+def _below_nyquist(dx_key: str):
+    """A band or cutoff range inside (0, 0.5/dx), the frequencies the samples represent."""
+
+    def rule(value, dx):
+        nyquist = 0.5 / dx
+        inside = all(0.0 < v < nyquist for v in (value if type(value) is list else [value]))
+        return None if inside else f"lie in (0, 0.5/{dx_key} = {nyquist:g})"
+
+    return rule
+
+
+def _draw_cells(values, n, dx) -> tuple:
+    """The frequency cell 1/(n dx) of a signal and the range ``values`` in cells."""
+    dxi = 1.0 / (int(n) * float(dx))
+    return dxi, [int(round(v / dxi)) for v in values]
+
+
+def _spans_a_cell(gap, n, dx):  # a gap of 0 cells draws only empty intervals
+    dxi, cells = _draw_cells(gap, n, dx)
+    return None if cells[0] >= 1 else f"span at least one frequency cell 1/(n dx) = {dxi:g}"
+
+
+def _bump_radii(b, eps):
+    BumpSpec(b, eps)  # builds no table: BumpSpec only checks its radii
+
+
+def _resolves_scales(n, dx, eta, t, b):
+    """The embedding's scale guard for a section's signal; it reads the eta and t axes only."""
+    if n < 2 or not (_is_finite(dx) and dx > 0.0):
+        raise ConfigurationError(f"need n >= 2 and a finite dx > 0, got {n} and {dx}")
+    _check_scales(TFSGrid.build((eta[0], eta[1]), eta[2], (0.0, 1.0), 2, *t), n, dx, b)
+
+
+def _gaussian_decays(sigma, n, dx):
+    make_signal("gaussian", {"sigma": sigma}, n=n, dx=dx)  # the edge-decay rule
+
+
+_count = _least(1)  # a count below 1 runs no check and passes vacuously
+_positive = _finite(">", 0)  # steps, widths and tolerances; a tolerance <= 0 never passes
+_exponent = _finite(">=", 1)
+_power_of_two = _rule("be a power of two", lambda n: n >= 2 and not n & (n - 1))
+_interval = _ordered(("lo", "hi"), "lo < hi", lambda lo, hi: lo < hi)
+_rising = _ordered(("lo", "hi"), "0 < lo < hi", lambda lo, hi: 0.0 < lo < hi)
+_axis = _ordered(
+    ("lo", "hi", "count"),
+    "lo < hi and an integer count >= 2",
+    lambda lo, hi, count: lo < hi and type(count) is int and count >= 2,
+)
+_ladder = _ordered(
+    ("t_min", "t_max", "ratio"),
+    "0 < t_min < t_max and ratio > 1",
+    lambda lo, hi, ratio: 0.0 < lo < hi and ratio > 1.0,
+)
+
+
+def _signal(section: str) -> tuple:
+    """Rules of a section's signal that goes through the radix-2 transform."""
+    dx = f"{section}.signal.dx"
+    return (
+        (f"{section}.signal.n", _power_of_two),
+        (dx, _positive),
+        (f"{section}.signal.band", _below_nyquist(dx), dx),
+    )
+
+
+def _embedded(section: str) -> tuple:
+    """Rules of a section's TFS grid and of the signal embedded on it."""
+    n, dx, eta, t = (f"{section}.{key}" for key in ("signal.n", "signal.dx", "grid.eta", "grid.t"))
+    return (
+        (eta, _axis),
+        (f"{section}.grid.y", _axis),
+        (t, _ladder),
+        (n, _resolves_scales, dx, eta, t, "table.b"),
+        (f"{section}.signal.band", _below_nyquist(dx), dx),
+    )
+
+
+# (key, rule, *keys the rule reads besides), in the order they run: a key's own
+# rule runs before any rule that reads it
+_RULES = (
+    ("space.dim", _count),
+    ("space.exponent", _least(1)),
+    ("table.b", _bump_radii, "table.eps"),  # before the embedded-signal rules read table.b
+    ("embed.N", _least(2)),
+    ("embed.rprime", _least(1)),
+    ("exponents.p", _exponent),
+    ("exponents.q", _exponent),
+    ("exponents.r", _exponent),
+    ("exponents.r0", _finite(">", 1)),
+    ("sweep.p_values", _each(">=", 1)),
+    ("sweep.r_values", _each(">=", 1)),
+    ("sweep.r0_values", _each(">", 1)),
+    ("sweep.corpus", _count),
+    *_signal("sweep"),
+    ("sweep.levels", _least(2)),
+    ("sweep.levels", _at_most_samples, "sweep.signal.n"),
+    ("reconstruction.interval", _interval),
+    ("reconstruction.points", _count),
+    ("reconstruction.cells", _least(2)),
+    ("reconstruction.refine", _least(2)),
+    ("reconstruction.sup_max", _positive),
+    ("reconstruction.ratio_min", _positive),
+    ("dual.dim", _count),
+    ("dual.interval", _interval),
+    ("dual.t_range", _rising),
+    ("dual.t_steps", _least(8)),  # the quadrature needs a rule to run
+    ("dual.eta_per_window", _least(2)),
+    ("dual.instances", _count),
+    ("dual.rel_max", _positive),
+    *_signal("dual"),
+    *_embedded("holder"),
+    ("holder.eta_stride", _count),  # a stride below 1 reverses the tops or cannot slice
+    ("holder.y_stride", _count),
+    ("holder.strip_stride", _count),
+    ("holder.pairs", _count),
+    ("holder.p", _finite(">", 1)),
+    ("holder.q", _finite(">", 1)),
+    *_embedded("domination"),
+    ("domination.eta_stride", _count),
+    ("domination.y_stride", _count),
+    ("domination.instances", _count),
+    ("domination.max_excluded", _count),  # each draw excludes 1 to max_excluded trees
+    ("domination.cut_lo", _ordered(("lo", "hi"), "lo <= hi", lambda lo, hi: lo <= hi)),
+    ("domination.gap", _ordered(("lo", "hi"), "0 < lo <= hi", lambda lo, hi: 0.0 < lo <= hi)),
+    ("domination.gap", _spans_a_cell, "domination.signal.n", "domination.signal.dx"),
+    ("ptnm.dim", _count),
+    ("ptnm.signals", _count),
+    ("ptnm.candidates", _least(0)),
+    ("ptnm.s_values", _each(">=", 1)),
+    ("ptnm.tol", _positive),
+    *_signal("ptnm"),
+    ("converge.points", _count),
+    ("converge.n", _power_of_two),
+    ("converge.dx", _positive),
+    ("converge.xi_range", _rising),
+    ("converge.xi_range", _below_nyquist("converge.dx"), "converge.dx"),
+    ("converge.bandlimited.band", _below_nyquist("converge.dx"), "converge.dx"),
+    ("converge.gaussian.sigma", _positive),
+    ("converge.gaussian.sigma", _gaussian_decays, "converge.n", "converge.dx"),
+    ("packets.interval", _interval),
+    ("packets.sign", _rule("be -1 or +1", lambda sign: sign in (-1, 1))),
+    *_embedded("packets"),
+)
 
 
 def resolve_config(
@@ -523,37 +532,21 @@ def resolve_config(
         if not isinstance(override, dict):
             raise ConfigurationError(f"config file {config_path} must hold a JSON object")
         settings = _deep_merge(settings, override)
-    for name, least in _LEAST:
-        count = _setting(settings, name)
-        if count < least:
-            raise ConfigurationError(f"config key {name!r} must be at least {least}, got {count}")
-    for name, order, holds in _RANGES:
-        _check_range(settings, name, order, holds)
-    for name in _VALUE_LISTS:
-        if not _setting(settings, name):
-            raise ConfigurationError(f"config key {name!r} must list at least one value")
-    for name in _SAMPLE_COUNTS:
-        n = _setting(settings, name)
-        if n < 2 or n & (n - 1):
-            raise ConfigurationError(f"config key {name!r} must be a power of two, got {n}")
-    _check_cutoffs(settings)
-    for name, ends, order, holds in _GRID_AXES:
-        _check_range(settings, name, order, holds, ends)
-    _check_table_and_embedding(settings)
-    for name in _EMBEDDED_SIGNALS:
-        _check_embedded_signal(settings, name)
-    for band_key, dx_key in _BANDS:
-        _check_band(settings, band_key, dx_key)
-    _check_gap_cells(settings["domination"])
+    for name, rule, *reads in _RULES:
+        value = _setting(settings, name)
+        try:
+            need = rule(value, *(_setting(settings, key) for key in reads))
+        except ConfigurationError as exc:
+            raise _misfit((name, *reads), exc) from None
+        if need is not None:
+            raise ConfigurationError(f"config key {name!r} must {need}, got {json.dumps(value)}")
     if seed is not None:
         settings["seed"] = seed
-    space = NormedSpace(int(settings["space"]["dim"]), float(settings["space"]["exponent"]))
-    _check_gaussian(settings, space)
     return ExperimentConfig(
         experiment=experiment,
         seed=int(settings["seed"]),
         preset=preset,
-        space=space,
+        space=NormedSpace(int(settings["space"]["dim"]), float(settings["space"]["exponent"])),
         exponents=dict(settings["exponents"]),
         settings=settings,
         out=out,
@@ -590,10 +583,7 @@ def _covering_build(section: str, keys: tuple, build, *args, **kwargs):
     try:
         return build(*args, **kwargs)
     except ConfigurationError as exc:
-        names = [f"'{section}.{key}'" for key in ("grid",) + keys]
-        raise ConfigurationError(
-            f"config keys {', '.join(names[:-1])} and {names[-1]} do not fit together: {exc}"
-        ) from None
+        raise _misfit([f"{section}.{key}" for key in ("grid",) + keys], exc) from None
 
 
 def _seed_of(*parts) -> int:
@@ -826,8 +816,9 @@ def domination_instance(
 ):
     """One random (sequence, selection, excluded-union) draw."""
     g = _band_signal(sec["signal"], space, int(rng.integers(0, 2**63 - 1)))
-    dxi, lo_cells = _draw_cells(sec, "cut_lo")
-    _, gap_cells = _draw_cells(sec, "gap")
+    n, dx = sec["signal"]["n"], sec["signal"]["dx"]
+    dxi, lo_cells = _draw_cells(sec["cut_lo"], n, dx)
+    _, gap_cells = _draw_cells(sec["gap"], n, dx)
     lo = dxi * float(rng.integers(lo_cells[0], lo_cells[1] + 1))
     gap = dxi * float(rng.integers(gap_cells[0], gap_cells[1] + 1))
     selection = FrequencySelection.constant([lo, lo + gap], g.n)
@@ -853,9 +844,10 @@ def domination_corpus_maxima(config: ExperimentConfig) -> dict:
     # each draw excludes up to max_excluded distinct trees of each sign
     trees = min(len(d.masks) for d in dictionaries.values())
     if sec["max_excluded"] > trees:
-        raise ConfigurationError(
-            f"config key 'domination.max_excluded' must be at most the {trees} trees "
-            f"of each domination dictionary, got {sec['max_excluded']}"
+        raise _misfit(
+            [f"domination.{key}" for key in ("max_excluded", "grid", "eta_stride", "y_stride")],
+            f"each draw excludes up to {sec['max_excluded']} distinct trees of each sign, "
+            f"but the smaller dictionary holds {trees}",
         )
     rng = np.random.default_rng(config.seed)
     keys = ("plus_full", "plus_masked", "minus_full", "minus_masked")
@@ -1148,13 +1140,16 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
         return _dispatch(args)
-    except (ConfigurationError, ValueError) as exc:
+    except (ConfigurationError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"vc: configuration error: {exc}\n")
         return EXIT_CONFIG
     except OSError as exc:
         target = getattr(exc, "filename", None) or "<unknown path>"
         sys.stderr.write(f"vc: io error at {target}: {exc}\n")
         return EXIT_CONFIG
+    except Exception:  # a program fault, not bad input: it must not pose as exit 1 or 2
+        sys.stderr.write("vc: internal error\n" + traceback.format_exc())
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from varcarleson import cli
 from varcarleson.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
+    EXIT_INTERNAL,
     EXIT_OK,
     PRESETS,
     admissibility_flags,
@@ -414,6 +416,29 @@ def test_signal_too_coarse_for_scales_is_rejected(tmp_path, capsys, section, ove
             # the embedding kernel decays with a power >= 2 on a lattice exponent >= 1
             ("embed.N", ["verify", "holder"], [0, 1]),
             ("embed.rprime", ["verify", "holder"], [0.5, 0.0]),
+            # the exponent region of admissibility_flags: p, q, r >= 1 and r0 > 1
+            ("exponents.p", ["converge"], [0.5, -1, math.nan]),
+            ("exponents.q", ["converge"], [0.5, math.inf]),
+            ("exponents.r", ["converge"], [0, math.nan]),
+            ("exponents.r0", ["converge"], [1.0, 0.5, math.inf]),
+            ("sweep.p_values", ["sweep"], [[0.5, 2.0], [1.5, math.nan], [1.5, "x"]]),
+            ("sweep.r_values", ["sweep"], [[0.5], [-2.5]]),
+            ("sweep.r0_values", ["sweep"], [[1.0], [2.0, math.inf]]),
+            # size_holder_check needs 1 < p < inf and 1 < q < inf
+            ("holder.p", ["verify", "holder"], [1.0, 0.5, math.inf]),
+            ("holder.q", ["verify", "holder"], [1.0, math.nan]),
+            ("ptnm.s_values", ["verify", "ptnm"], [[0.5], [1.5, -2.5], [math.inf]]),
+            # coordinate spaces C^d with d >= 1 and an l^p exponent p >= 1
+            ("space.dim", ["sweep"], [0, -1]),
+            ("space.exponent", ["sweep"], [0.5, -1, math.nan]),
+            ("dual.dim", ["verify", "dual"], [0, -2]),
+            ("ptnm.dim", ["verify", "ptnm"], [0]),
+            ("packets.sign", ["packets", "dump"], [0, 2, -3]),
+            # a tolerance <= 0 or NaN never passes, a ratio bound <= 0 always does
+            ("reconstruction.sup_max", ["verify", "reconstruction"], [0, -0.05, math.nan]),
+            ("reconstruction.ratio_min", ["verify", "reconstruction"], [0, -2.0, math.nan]),
+            ("dual.rel_max", ["verify", "dual"], [0, -1, math.nan]),
+            ("ptnm.tol", ["verify", "ptnm"], [0, -1e-10, math.nan]),
         )
     ],
 )
@@ -506,3 +531,99 @@ def test_calibration_resource_loads():
     for section in ("holder", "holder_corpus", "domination", "dual_representation"):
         assert section in cal
     assert cal["holder_corpus"]["seed_tolerance"] < cal["holder_corpus"]["refine_tolerance"]
+
+
+def _numeric_leaves(settings, path=""):
+    for key, value in settings.items():
+        if type(value) is dict:
+            yield from _numeric_leaves(value, f"{path}{key}.")
+        elif f"{path}{key}" != "seed":
+            yield f"{path}{key}", value
+
+
+def _fuzz_values(value):
+    if type(value) is list:
+        return {
+            "empty": [],
+            "zeroed": [0] * len(value),
+            "negated": [-v for v in value],
+            "reversed": value[::-1],
+        }
+    return {"zero": 0, "minus_one": -1, "nan": math.nan}
+
+
+# the command that reads each section; the shared sections go to one reader each
+_FUZZ_COMMANDS = {
+    "space": ["converge"],
+    "exponents": ["converge"],
+    "table": ["verify", "reconstruction"],
+    "embed": ["verify", "holder"],
+    "sweep": ["sweep"],
+    "converge": ["converge"],
+    "packets": ["packets", "dump"],
+}
+# a cutoff range of one point at 0 draws selections whose packets vanish to
+# roundoff (maxima <= 1e-14): a valid run that fails its `nonzero` check
+_HONEST_FAILURES = {("domination.cut_lo", "zeroed"): ["nonzero"]}
+
+
+@pytest.mark.parametrize(
+    "name, label, value",
+    [
+        pytest.param(name, label, value, id=f"{name}-{label}")
+        for name, leaf in _numeric_leaves(PRESETS["tiny"])
+        for label, value in _fuzz_values(leaf).items()
+    ],
+)
+def test_every_override_is_rejected_by_key_or_runs(tmp_path, capsys, name, label, value):
+    payload = value
+    for key in reversed(name.split(".")):
+        payload = {key: payload}
+    path = write_config(tmp_path, payload, "fuzz.json")
+    try:
+        resolve_config("fuzz", preset="tiny", config_path=path)
+    except ConfigurationError as exc:
+        assert f"'{name}'" in str(exc)
+        return
+    section = name.split(".")[0]
+    command = _FUZZ_COMMANDS.get(section, ["verify", section])
+    out = ["--out", str(tmp_path / "field.bin")] if section == "packets" else []
+    code = main(command + ["--preset", "tiny", "--config", path] + out)
+    captured = capsys.readouterr()
+    failing = _HONEST_FAILURES.get((name, label))
+    if failing is None:
+        assert code == EXIT_OK, captured.err
+    else:
+        assert code == EXIT_FAIL
+        checks = json.loads(captured.out)["checks"]
+        assert [key for key, ok in checks.items() if not ok] == failing
+
+
+@pytest.mark.parametrize("error", [ValueError, RuntimeError], ids=["value", "runtime"])
+def test_internal_error_exits_three_with_traceback(monkeypatch, capsys, error):
+    # a program fault poses neither as a configuration error (2) nor as a failed check (1)
+    def broken(config):
+        raise error("raised inside a runner")
+
+    monkeypatch.setattr(cli, "run_sweep", broken)
+    assert main(["sweep", "--preset", "tiny"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.err.startswith("vc: internal error\nTraceback")
+    assert f"{error.__name__}: raised inside a runner" in captured.err
+    assert captured.out == ""
+
+
+def test_config_file_not_utf8_is_a_configuration_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"sweep": {"corpus": 2}} // réglage'.encode("latin-1"))
+    assert main(["sweep", "--preset", "tiny", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("vc: configuration error: 'utf-8' codec")
+    assert captured.out == ""
+
+
+def test_readme_lists_every_config_rule_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for name, _rule, *reads in cli._RULES:
+        for key in (name, *reads):
+            assert f"`{key}`" in readme, key
