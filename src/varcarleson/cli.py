@@ -723,11 +723,14 @@ def _verify_dual(config: ExperimentConfig) -> dict:
     worst = 0.0
     for i in range(int(sec["instances"])):
         rng = np.random.default_rng(_seed_of(config.seed, 17, i))
-        f = make_signal(
-            "gaussian",
-            {"sigma": float(rng.uniform(0.3, 0.6)), "center": float(rng.uniform(-1.0, 1.0))},
-            n=int(sig["n"]), dx=float(sig["dx"]), space=space,
-        )
+        try:
+            f = make_signal(
+                "gaussian",
+                {"sigma": float(rng.uniform(0.3, 0.6)), "center": float(rng.uniform(-1.0, 1.0))},
+                n=int(sig["n"]), dx=float(sig["dx"]), space=space,
+            )
+        except ConfigurationError as exc:  # the draw's edge decay: the grid is too short
+            raise _misfit(["dual.signal.n", "dual.signal.dx"], exc) from None
         g = _band_signal(sig, space, _seed_of(config.seed, 18, i))
         rep = check_dual_representation(
             f, g, tuple(sec["interval"]), table,
@@ -825,9 +828,9 @@ def domination_instance(
     count = int(rng.integers(1, int(sec["max_excluded"]) + 1))
     mask = np.zeros(grid.shape, dtype=bool)
     for sign in (+1, -1):
-        masks = dictionaries[sign].masks
-        for index in rng.choice(len(masks), size=count, replace=False):
-            mask |= masks[index]
+        trees = dictionaries[sign]
+        for index in rng.choice(len(trees), size=count, replace=False):
+            mask.flat[trees.cells(index)] = True
     return SequenceSignal((g,)), selection, mask
 
 
@@ -842,7 +845,7 @@ def domination_corpus_maxima(config: ExperimentConfig) -> dict:
         eta_stride=int(sec["eta_stride"]), y_stride=int(sec["y_stride"]),
     )
     # each draw excludes up to max_excluded distinct trees of each sign
-    trees = min(len(d.masks) for d in dictionaries.values())
+    trees = min(len(d) for d in dictionaries.values())
     if sec["max_excluded"] > trees:
         raise _misfit(
             [f"domination.{key}" for key in ("max_excluded", "grid", "eta_stride", "y_stride")],

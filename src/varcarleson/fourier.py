@@ -38,7 +38,6 @@ __all__ = [
     "carleson_path",
     "variational_carleson",
     "linearized_vc",
-    "pointwise_variational",
     "pointwise_norm_comparison",
 ]
 
@@ -152,21 +151,6 @@ def variational_carleson(
     r = _check_r(r)
     path = carleson_path(signal, xi_grid)
     return _batched_variation(path, signal.space, r)
-
-
-def pointwise_variational(
-    signal: SampledSignal, r: float, xi_grid: np.ndarray | None = None
-) -> np.ndarray:
-    """Coordinatewise r-variation of the cutoff path; shape (n, d).
-
-    Each coordinate gets its own exact scalar dynamic program, so the result
-    is the lattice supremum over per-coordinate candidate subsequences.
-    """
-    r = _check_r(r)
-    path = carleson_path(signal, xi_grid)
-    n, steps, dim = path.shape
-    scalar = np.moveaxis(path, 2, 1).reshape(n * dim, steps, 1)
-    return _batched_variation(scalar, NormedSpace(1, 2.0), r).reshape(n, dim)
 
 
 def _rowwise_partial(spec: Spectrum, phases: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:

@@ -10,14 +10,13 @@ level and the outer Lebesgue quasinorm is a weighted integral of the prefix
 costs over 64 logarithmically spaced levels.  Iterated quasinorms run the
 same engine at strip level with the strip-localized, scale-normalized inner
 quasinorm as the size; each strip's inner cover runs on only the trees that
-meet the strip.  The outer size of a pure sup size is the largest density
-over the dictionary's covered cells (the union of its trees' region cells,
-one cell mask kept per region), which is exactly the largest per-tree max.
-Every other full size evaluation reads, for sum and per-tree max terms
-alike, the per-row cell index derived from the dictionary's boolean
-incidence: one segment sum or max per tree.  Only the cover's decrements
-(its dense seed and exact removals, which give the sizes from its second
-round on) read the dense incidence.
+meet the strip.  Everything reads a dictionary's incidence off its per-row
+cell index (see :mod:`varcarleson.tfs`).  The outer size of a pure sup size
+is the largest density over the dictionary's covered cells (the union of its
+trees' region cells), which is exactly the largest per-tree max.  Every other
+full size evaluation is one segment sum or max per tree.  The cover's
+decrements (its sizes from the second round on) seed their numerators by one
+product of a boolean submatrix scattered from the index, then remove exactly.
 
 Each quasinorm call builds the field's size terms once, and the top and the
 cover share them.  The full evaluation whose largest value is the top is also
@@ -28,7 +27,8 @@ a zeroed cell gives exact zeros.  ``tests/test_outersize.py`` pins both
 against the restricted-field route
 (``test_zeroed_terms_match_restricted_field``), the argmax pick against the
 full tie-rule lexsort (``test_lex_pick_matches_full_lexsort``), the segment
-sums against the dense product (``test_region_sum_matches_dense_oracle``),
+sums against the dense product of the one-tree membership rows
+(``test_region_sum_matches_dense_oracle``),
 the sup over the covered cells against the per-tree maxima
 (``test_sup_size_is_largest_tree_max``) and the first recorded size against
 the outer size (``test_first_cover_size_is_outer_size``).
@@ -135,24 +135,23 @@ def _zeroed(keep: np.ndarray, norms: np.ndarray, terms: list) -> tuple:
     return np.where(keep, norms, 0.0), zeroed
 
 
-def _region_max(dictionary: TreeDictionary, region: str, density: np.ndarray) -> np.ndarray:
-    """Largest density over each tree's region cells; 0 for a tree with no cell.
+def _region_reduce(ufunc, dictionary, region: str, values: np.ndarray) -> np.ndarray:
+    """``ufunc`` (``np.add`` or ``np.maximum``) over each element's region cells of ``values``.
 
-    One segment max over the dictionary's per-row cell index, whose leading
-    sentinel cell reads the padded 0; exact, as a max has no rounding.
+    One segment reduction over the dictionary's per-row cell index, whose
+    leading sentinel cell reads an appended 0 (False), which changes no sum
+    or max: an element with no cell reads 0.  A max is exact; on a cell mask
+    it tells which elements meet the mask.
     """
-    index, starts = dictionary._row_cells(region)
-    return np.maximum.reduceat(np.append(density, 0.0)[index], starts)
+    index, bounds = dictionary._row_cells(region)
+    return ufunc.reduceat(np.append(values, np.zeros(1, values.dtype))[index], bounds[:-1])
 
 
-def _region_sum(dictionary: TreeDictionary, region: str, density: np.ndarray) -> np.ndarray:
-    """Sum of the density over each tree's region cells; 0 for a tree with no cell.
-
-    The segment sum over the same per-row cell index as :func:`_region_max`;
-    the leading sentinel cell adds the padded 0, which changes no sum.
-    """
-    index, starts = dictionary._row_cells(region)
-    return np.add.reduceat(np.append(density, 0.0)[index], starts)
+def _cell_mask(cells: np.ndarray, size: int) -> np.ndarray:
+    """The flat boolean mask of ``size`` cells that holds exactly ``cells``."""
+    mask = np.zeros(size, dtype=bool)
+    mask[cells] = True
+    return mask
 
 
 def _sizes_over(dictionary: TreeDictionary, terms: list) -> np.ndarray:
@@ -161,9 +160,9 @@ def _sizes_over(dictionary: TreeDictionary, terms: list) -> np.ndarray:
     parts = []
     for region, exponent, density in terms:
         if math.isinf(exponent):
-            parts.append(_region_max(dictionary, region, density))
+            parts.append(_region_reduce(np.maximum, dictionary, region, density))
         else:
-            sums = _region_sum(dictionary, region, density)
+            sums = _region_reduce(np.add, dictionary, region, density)
             parts.append((np.maximum(sums, 0.0) / measures) ** (1.0 / exponent))
     return sum(parts[1:], parts[0])
 
@@ -182,7 +181,7 @@ def local_size(field: OuterField, element, spec: SizeSpec) -> float:
     """Local average of the field over one tree (or strip), per ``spec``.
 
     Evaluates one element from its membership mask, independently of the
-    dictionary incidence that :func:`outer_size` and the covers read
+    dictionary cell index that :func:`outer_size` and the covers read
     (oracle: used by tests/verify only).
     """
     measure = element.s
@@ -248,22 +247,29 @@ class _LinearPiece:
 
     Numerators only ever decrease (densities are nonnegative), and integer
     support counts detect exact emptiness so fully removed elements report
-    size zero without float residue.
+    size zero without float residue.  The seed multiplies the supported
+    densities by the region's incidence on those cells, scattered from the index.
     """
 
-    def __init__(self, stack: np.ndarray, support: np.ndarray, density: np.ndarray):
-        self.colmap = np.full(stack.shape[1], -1)
-        self.colmap[support] = np.arange(support.size)
-        self.mat = np.ascontiguousarray(stack[:, support])
+    def __init__(self, dictionary, region: str, support: np.ndarray, density: np.ndarray):
+        rows, cols = len(dictionary), support.size
+        # the column of each cell; other cells and the index's sentinel -1 go to a spare one
+        self.colmap = np.full(density.size + 1, cols)
+        self.colmap[support] = np.arange(cols)
+        index, bounds = dictionary._row_cells(region)
+        offsets = np.repeat(np.arange(rows) * (cols + 1), bounds[1:] - bounds[:-1])
+        flat = np.zeros(rows * (cols + 1), dtype=bool)
+        flat[offsets + self.colmap[index]] = True
+        self.mat = np.ascontiguousarray(flat.reshape(rows, cols + 1)[:, :cols])
         # per supported cell its density and a 1 that counts it
-        self.rhs = np.stack([density[support], np.ones(support.size)], axis=1)
+        self.rhs = np.stack([density[support], np.ones(cols)], axis=1)
         acc = self.mat @ self.rhs
         self.numerators = acc[:, 0].copy()
         self.counts = np.rint(acc[:, 1]).astype(np.int64)
 
     def remove(self, cells: np.ndarray) -> None:
         cols = self.colmap[cells]
-        cols = cols[cols >= 0]
+        cols = cols[cols < self.rhs.shape[0]]
         if cols.size == 0:
             return
         acc = self.mat[:, cols] @ self.rhs[cols]
@@ -291,8 +297,7 @@ def _spec_state(
         if math.isinf(exponent):
             sups.append((region, density))
         else:
-            stack = dictionary.incidence(region).reshape(measures.size, -1)
-            pieces.append((_LinearPiece(stack, support, density), exponent))
+            pieces.append((_LinearPiece(dictionary, region, support, density), exponent))
 
     pending = [first]
 
@@ -304,7 +309,7 @@ def _spec_state(
         for piece, exponent in pieces:
             total += (piece.values() / measures) ** (1.0 / exponent)
         for region, density in sups:
-            total += _region_max(dictionary, region, np.where(alive, density, 0.0))
+            total += _region_reduce(np.maximum, dictionary, region, np.where(alive, density, 0.0))
         return total
 
     def remove(cells: np.ndarray) -> None:
@@ -338,7 +343,6 @@ def _greedy(dictionary, sizes, remove, alive, live, stop_below: float) -> CoverS
     which this loop clears before calling ``remove``.
     """
     measures = dictionary.scales
-    flat = dictionary.masks.reshape(len(dictionary), -1)
     order, picked, costs = [], [], []
     total = 0.0
     while live.any():
@@ -350,7 +354,8 @@ def _greedy(dictionary, sizes, remove, alive, live, stop_below: float) -> CoverS
         picked.append(float(vals[best]))
         total += float(measures[best])
         costs.append(total)
-        cells = np.flatnonzero(flat[best] & alive)
+        cells = dictionary.cells(best)
+        cells = cells[alive[cells]]
         alive[cells] = False
         live[best] = False
         remove(cells)
@@ -457,12 +462,13 @@ def _strip_subsets(tree_dictionary: TreeDictionary, strip_dictionary: StripDicti
     exactly 0 and is never picked, and keeping the tree order keeps the
     index tie-break, so the strip's inner cover needs only these trees.
     """
-    rows = tree_dictionary.masks.reshape(len(tree_dictionary), -1)
+    size = math.prod(tree_dictionary.grid.shape)
     subsets = []
-    for strip in strip_dictionary.masks.reshape(len(strip_dictionary), -1):
-        meets = np.flatnonzero((rows & strip).any(axis=1))
-        trees = tuple(tree_dictionary.trees[i] for i in meets)
-        subsets.append(TreeDictionary(tree_dictionary.grid, trees, tree_dictionary.masks[meets]))
+    for i in range(len(strip_dictionary)):
+        strip = _cell_mask(strip_dictionary.cells(i), size)
+        meets = np.flatnonzero(_region_reduce(np.maximum, tree_dictionary, "full", strip))
+        trees = tuple(tree_dictionary.trees[j] for j in meets)
+        subsets.append(TreeDictionary(tree_dictionary.grid, trees))
     return tuple(subsets)
 
 
@@ -487,20 +493,22 @@ def iterated_quasinorm(
         raise ConfigurationError(f"exponents must be positive, got p={p}, q={q}")
     subsets = _strip_subsets(tree_dictionary, strip_dictionary)
     measures = strip_dictionary.scales
-    stack = strip_dictionary.masks.reshape(measures.size, -1)
-    alive = np.ones(stack.shape[1], dtype=bool)
     live = np.ones(measures.size, dtype=bool)
     norms, terms = _size_terms(field, spec)
+    alive = np.ones(norms.size, dtype=bool)
 
     def strip_value(i: int) -> float:
-        inner = _lp_quasinorm(subsets[i], *_zeroed(stack[i] & alive, norms, terms), q)
+        keep = _cell_mask(strip_dictionary.cells(i), norms.size) & alive
+        inner = _lp_quasinorm(subsets[i], *_zeroed(keep, norms, terms), q)
         return inner if math.isinf(q) else float(measures[i] ** (-1.0 / q) * inner)
 
     vals = np.array([strip_value(i) for i in range(measures.size)])
 
     def remove(cells: np.ndarray) -> None:
         # only live strips overlapping the removed cells see a different residual
-        for i in np.flatnonzero(live & stack[:, cells].any(axis=1)):
+        cells_hit = _cell_mask(cells, norms.size)
+        touched = _region_reduce(np.maximum, strip_dictionary, "full", cells_hit)
+        for i in np.flatnonzero(live & touched):
             vals[i] = strip_value(i)
 
     top = float(vals.max())

@@ -11,13 +11,15 @@ only the translation-scale constraint |y - x_D| < s_D - t.  Discretized
 fields live on a product grid (uniform eta, uniform y, geometric t); the
 reference measure deta dy dt gets node weights d_eta * d_y * (t * log rho),
 and on a tree the model measure dtheta dzeta dsigma/sigma becomes
-(deta dy dt)/s_T.  A dictionary holds its elements' node masks as one boolean
-incidence per region, stacked (n_elements, n_eta, n_y, n_t); the membership
-functions are its one-element case.  Full size evaluations over a tree
-dictionary, sums and maxima alike, are segment reductions over a per-row cell
-index derived from that incidence, and a pure sup size reads the union of the
-rows as one cell mask; only the outer-measure cover's decrements read the
-dense incidence itself.
+(deta dy dt)/s_T.  A dictionary stores its grid, its elements with their top
+scales and offsets, and per region (full, in, out) one per-row cell index:
+each element's flat cell numbers, derived for every region at first use from
+the elements' own geometry by the node rule that the membership functions
+apply to one element.  The dense node rows are built a chunk at a time and
+dropped, so no dictionary keeps an (n_elements x n_cells) array.  Size
+evaluations, cover picks, strip restrictions and sub-dictionaries all read
+the index; a pure sup size reads the union of the rows, kept as one cell mask
+per region.
 """
 
 from __future__ import annotations
@@ -184,32 +186,28 @@ def _angular(grid: TFSGrid, trees, window: str) -> np.ndarray:
     return (theta > lo[:, None, None]) & (theta < hi[:, None, None])
 
 
-def _tree_incidence(grid: TFSGrid, trees, region: str = "full") -> np.ndarray:
+def _tree_nodes(grid: TFSGrid, trees) -> np.ndarray:
     """Node masks of many trees at once, one row per tree: (n_trees, n_eta, n_y, n_t).
 
     Membership uses open conditions: theta strictly inside the window and
     |zeta| < 1 - sigma (so a node at the top scale, sigma = 1, is excluded).
-    The in/out parts partition the tree by theta in Theta_in or not.
     """
     x = np.array([tree.x for tree in trees], dtype=float)
     s = np.array([tree.s for tree in trees], dtype=float)
     zeta = (grid.y[None, :] - x[:, None]) / s[:, None]  # (n, n_y)
     sigma = grid.t[None, :] / s[:, None]  # (n, n_t)
     spatial = np.abs(zeta)[:, :, None] < (1.0 - sigma)[:, None, :]  # (n, n_y, n_t)
-    full = _angular(grid, trees, "theta")[:, :, None, :] & spatial[:, None, :, :]
-    if region == "full":
-        return full
-    return _split(grid, trees, full, region)
+    return _angular(grid, trees, "theta")[:, :, None, :] & spatial[:, None, :, :]
 
 
-def _split(grid: TFSGrid, trees, full: np.ndarray, region: str) -> np.ndarray:
-    if region not in ("in", "out"):
-        raise ValueError(f"region must be 'full', 'in', or 'out', got {region!r}")
+def _tree_regions(grid: TFSGrid, trees) -> dict:
+    """Node masks per region: the full tree, its in part (theta in Theta_in) and its out part."""
+    full = _tree_nodes(grid, trees)
     inner = _angular(grid, trees, "theta_in")[:, :, None, :]
-    return full & inner if region == "in" else full & ~inner
+    return {"full": full, "in": full & inner, "out": full & ~inner}
 
 
-def _strip_incidence(grid: TFSGrid, strips) -> np.ndarray:
+def _strip_nodes(grid: TFSGrid, strips) -> np.ndarray:
     """Node masks |y - x_D| < s_D - t of many strips, shape (n_strips, n_eta, n_y, n_t)."""
     x = np.array([strip.x for strip in strips], dtype=float)
     gap = np.array([strip.s for strip in strips], dtype=float)[:, None] - grid.t[None, :]
@@ -220,16 +218,19 @@ def _strip_incidence(grid: TFSGrid, strips) -> np.ndarray:
 def tree_membership(grid: TFSGrid, tree: Tree, region: str = "full") -> np.ndarray:
     """Boolean node mask for the tree, its in-part, or its out-part.
 
-    The one-tree case of the dictionary incidence: open conditions, theta
-    strictly inside the window and |zeta| < 1 - sigma; in/out split by
-    Theta_in.
+    The one-tree case of the node rows a dictionary derives its cell index
+    from: open conditions, theta strictly inside the window and
+    |zeta| < 1 - sigma; in/out split by Theta_in.
     """
-    return _tree_incidence(grid, (tree,), region)[0]
+    regions = _tree_regions(grid, (tree,))
+    if region not in regions:
+        raise ValueError(f"region must be 'full', 'in', or 'out', got {region!r}")
+    return regions[region][0]
 
 
 def strip_membership(grid: TFSGrid, strip: Strip) -> np.ndarray:
     """Boolean node mask |y - x_D| < s_D - t (implies t < s_D)."""
-    return _strip_incidence(grid, (strip,))[0]
+    return _strip_nodes(grid, (strip,))[0]
 
 
 _SCALE_FACTOR = 2.0  # ratio of consecutive dictionary top scales
@@ -257,45 +258,89 @@ def _covering(elements: list, full: np.ndarray, what: str) -> tuple:
             "reduce the strides or add scales"
         )
     keep = full.reshape(len(elements), -1).any(axis=1)
-    return tuple(e for e, k in zip(elements, keep) if k), full[keep]
+    return tuple(e for e, k in zip(elements, keep) if k)
 
 
-def _stacked(masks, count: int, grid: TFSGrid) -> np.ndarray:
-    stack = np.asarray(masks, dtype=bool)
-    if stack.shape != (count,) + grid.shape:
-        raise ValueError(f"need {count} masks of shape {grid.shape}, got {stack.shape}")
-    return _freeze(stack)
+_DENSE_CHUNK = 1 << 20  # dense nodes held at once while a row-cell index is derived
 
 
-def _set_tops(dictionary, elements) -> None:
-    """Freeze the top scales and top distances |x| from the origin, one per element."""
-    scales = np.array([e.s for e in elements], dtype=float)
-    offsets = np.array([abs(e.x) for e in elements], dtype=float)
-    object.__setattr__(dictionary, "scales", _freeze(scales))
-    object.__setattr__(dictionary, "offsets", _freeze(offsets))
+class _Incidence:
+    """The grid cells of a dictionary's elements, as one per-row cell index per region.
+
+    A flat density with a 0 appended reduces over every row with one
+    ``np.add.reduceat(padded[index], bounds[:-1])`` for a sum or
+    ``np.maximum.reduceat`` for a max, and the sentinel's 0 changes neither.
+    """
+
+    def _init_elements(self, elements: tuple) -> None:
+        object.__setattr__(self, "_elements", elements)
+        scales = np.array([e.s for e in elements], dtype=float)
+        offsets = np.array([abs(e.x) for e in elements], dtype=float)
+        object.__setattr__(self, "scales", _freeze(scales))
+        object.__setattr__(self, "offsets", _freeze(offsets))
+        object.__setattr__(self, "_cells", {})
+        object.__setattr__(self, "_unions", {})
+
+    def _row_cells(self, region: str = "full") -> tuple:
+        """The region's flat cell index row by row (ascending), and the row bounds.
+
+        Derived for every region at first use from the elements' dense node
+        rows, a chunk at a time, and kept with the region's union cell mask.
+        Each row is led by the sentinel cell -1, so a row without cells still
+        has a segment; row i is ``index[bounds[i]:bounds[i + 1]]``.  The index
+        is ``np.intp``, as numpy would cast a narrower one on every gather.
+        """
+        if not self._cells:
+            cells = math.prod(self.grid.shape)
+            step = max(1, _DENSE_CHUNK // cells)
+            parts = {}
+            for lo in range(0, len(self) or 1, step):  # an empty dictionary still names its regions
+                for name, rows in self._rows(self._elements[lo : lo + step]).items():
+                    flat = rows.reshape(-1, cells)
+                    sentinel = np.ones((flat.shape[0], 1), dtype=bool)
+                    column = np.flatnonzero(np.hstack([sentinel, flat])) % (cells + 1) - 1
+                    # int32 while held: the chunks of every region are alive until the end
+                    parts.setdefault(name, []).append(column.astype(np.int32))
+            for name in list(parts):
+                index = np.concatenate(parts.pop(name), dtype=np.intp)
+                bounds = np.append(np.flatnonzero(index == -1), index.size)
+                self._cells[name] = (_freeze(index), _freeze(bounds))
+                covered = np.zeros(cells + 1, dtype=bool)
+                covered[index] = True  # the sentinel -1 lands on the dropped last entry
+                self._unions[name] = _freeze(covered[:-1])
+        if region not in self._cells:
+            raise ValueError(f"region must be one of {sorted(self._cells)}, got {region!r}")
+        return self._cells[region]
+
+    def cells(self, element: int, region: str = "full") -> np.ndarray:
+        """Flat indices of the cells in one element's region part, ascending."""
+        index, bounds = self._row_cells(region)
+        return index[bounds[element] + 1 : bounds[element + 1]]
+
+    def _union(self, region: str) -> np.ndarray:
+        """Flat mask of the cells in some element's region part (not all in a sub-dictionary)."""
+        self._row_cells(region)
+        return self._unions[region]
+
+    def __len__(self) -> int:
+        return len(self._elements)
 
 
 @dataclass(frozen=True, eq=False)
-class TreeDictionary:
-    """Trees with tops on the grid across a ladder of scales, plus node masks.
+class TreeDictionary(_Incidence):
+    """Trees with tops on the grid across a ladder of scales.
 
-    ``masks`` is the full-tree incidence, one boolean row per tree, shape
-    (n_trees, n_eta, n_y, n_t); the in/out parts are split off it on first
-    use and read through :meth:`incidence`.  ``scales`` and ``offsets`` hold each
-    tree's top scale s and top distance |x| from the origin.
+    The trees are the one source of their node sets: the per-row cell index
+    of each region (full, in, out) is derived from them on first use.
+    ``scales`` and ``offsets`` hold each tree's top scale s and top distance
+    |x| from the origin.
     """
 
     grid: TFSGrid
     trees: tuple
-    masks: np.ndarray
 
     def __post_init__(self):
-        full = _stacked(self.masks, len(self.trees), self.grid)
-        object.__setattr__(self, "masks", full)
-        object.__setattr__(self, "_regions", {"full": full})
-        object.__setattr__(self, "_cells", {})
-        object.__setattr__(self, "_unions", {})
-        _set_tops(self, self.trees)
+        self._init_elements(self.trees)
 
     @classmethod
     def build(
@@ -315,64 +360,26 @@ class TreeDictionary:
             for xi in grid.eta[::eta_stride]
             for x in grid.y[::y_stride]
         ]
-        kept, masks = _covering(trees, _tree_incidence(grid, trees), "tree")
-        return cls(grid=grid, trees=kept, masks=masks)
+        return cls(grid, _covering(trees, _tree_nodes(grid, trees), "tree"))
 
-    def incidence(self, region: str = "full") -> np.ndarray:
-        """Stacked node masks of every tree's full, in, or out part.
-
-        The in/out parts are split off the full incidence on first use and kept.
-        """
-        if region not in self._regions:
-            self._regions[region] = _freeze(_split(self.grid, self.trees, self.masks, region))
-        return self._regions[region]
-
-    def _row_cells(self, region: str) -> tuple:
-        """Flat cell index of the region's incidence row by row, and the row starts.
-
-        Each row is led by the sentinel cell -1, so a row without cells
-        still has a segment; a flat density with a 0 appended reduces over
-        every row with one ``np.add.reduceat(padded[index], starts)`` for a
-        sum or ``np.maximum.reduceat`` for a max, and the sentinel's 0
-        changes neither.  Built on first use and kept per region.
-        """
-        if region not in self._cells:
-            flat = self.incidence(region).reshape(len(self), math.prod(self.grid.shape))
-            sentinel = np.ones((len(self), 1), dtype=bool)
-            _, cols = np.nonzero(np.hstack([sentinel, flat]))
-            self._cells[region] = (_freeze(cols - 1), _freeze(np.flatnonzero(cols == 0)))
-        return self._cells[region]
-
-    def _union(self, region: str) -> np.ndarray:
-        """Flat cell mask of the cells in some tree's region part.
-
-        A sub-dictionary need not cover the grid, so this is not all cells.
-        Built on first use and kept per region.
-        """
-        if region not in self._unions:
-            flat = self.incidence(region).reshape(len(self), math.prod(self.grid.shape))
-            self._unions[region] = _freeze(flat.any(axis=0))
-        return self._unions[region]
-
-    def __len__(self) -> int:
-        return len(self.trees)
+    def _rows(self, trees: tuple) -> dict:
+        return _tree_regions(self.grid, trees)
 
 
 @dataclass(frozen=True, eq=False)
-class StripDictionary:
-    """Strips with tops on the y grid across a ladder of scales, plus masks.
+class StripDictionary(_Incidence):
+    """Strips with tops on the y grid across a ladder of scales.
 
-    ``masks`` is the strip incidence, shape (n_strips, n_eta, n_y, n_t);
-    ``scales`` and ``offsets`` hold each strip's top scale s and |x|.
+    The strips' cell index is derived from them on first use; strips have no
+    in/out split.  ``scales`` and ``offsets`` hold each strip's top scale s
+    and |x|.
     """
 
     grid: TFSGrid
     strips: tuple
-    masks: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "masks", _stacked(self.masks, len(self.strips), self.grid))
-        _set_tops(self, self.strips)
+        self._init_elements(self.strips)
 
     @classmethod
     def build(
@@ -384,14 +391,7 @@ class StripDictionary:
         _check_strides(y_stride=y_stride)
         scales = _scale_ladder(grid.t[0], grid.t[-1])
         strips = [Strip(float(x), float(s)) for s in scales for x in grid.y[::y_stride]]
-        kept, masks = _covering(strips, _strip_incidence(grid, strips), "strip")
-        return cls(grid=grid, strips=kept, masks=masks)
+        return cls(grid, _covering(strips, _strip_nodes(grid, strips), "strip"))
 
-    def incidence(self, region: str = "full") -> np.ndarray:
-        """Stacked node masks of every strip; strips have no in/out split."""
-        if region != "full":
-            raise ValueError("strips have no in/out split")
-        return self.masks
-
-    def __len__(self) -> int:
-        return len(self.strips)
+    def _rows(self, strips: tuple) -> dict:
+        return {"full": _strip_nodes(self.grid, strips)}  # strips have no in/out split

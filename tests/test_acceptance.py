@@ -32,7 +32,7 @@ from varcarleson.outersize import (
     outer_size,
     super_level_measure,
 )
-from varcarleson.tfs import OuterField, TFSGrid, TreeDictionary
+from varcarleson.tfs import OuterField, TFSGrid, TreeDictionary, tree_membership
 from varcarleson.variation import Path, variation_norm, variation_norm_bruteforce
 from varcarleson.wavepacket import BumpSpec, assemble_m, packet_hat
 
@@ -209,14 +209,13 @@ def test_criterion_08_outer_measure_laws():
             removed = np.zeros(grid.shape, dtype=bool)
             for idx, size in zip(profile.order, profile.sizes):
                 if size > lam:
-                    removed |= trees.masks[idx]
+                    removed |= tree_membership(grid, trees.trees[idx])
             cert_ok = cert_ok and outer_size(field.restrict(~removed), trees, spec) <= lam
 
         step = max(1, len(trees.trees) // 12)
         picked = tuple(range(0, 12 * step, step))[:12]
-        sub = TreeDictionary(grid=grid,
-                             trees=tuple(trees.trees[i] for i in picked),
-                             masks=tuple(trees.masks[i] for i in picked))
+        sub = TreeDictionary(grid=grid, trees=tuple(trees.trees[i] for i in picked))
+        rows = [tree_membership(grid, tree) for tree in sub.trees]
         sub_profile = greedy_cover_profile(field, sub, spec)
         sub_top = outer_size(field, sub, spec)
         for lam in (0.5 * sub_top, 0.1 * sub_top):
@@ -226,7 +225,7 @@ def test_criterion_08_outer_measure_laws():
                 for combo in itertools.combinations(range(12), count):
                     removed = np.zeros(grid.shape, dtype=bool)
                     for i in combo:
-                        removed |= sub.masks[i]
+                        removed |= rows[i]
                     if outer_size(field.restrict(~removed), sub, spec) <= lam:
                         best = min(best, sum(sub.trees[i].s for i in combo))
             ratio_ok = ratio_ok and greedy_cost <= (1.0 + math.log(12.0)) * best + 1e-12

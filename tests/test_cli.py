@@ -471,6 +471,12 @@ def test_out_of_range_setting_is_rejected(tmp_path, capsys, name, command, value
             ["domination.grid", "domination.eta_stride", "domination.y_stride"],
             id="domination-grid",
         ),
+        pytest.param(
+            # the dual corpus Gaussians do not decay inside a 32-sample grid
+            {"dual": {"signal": {"n": 32}}}, ["verify", "dual"],
+            ["dual.signal.n", "dual.signal.dx"],
+            id="dual-gaussian",
+        ),
     ],
 )
 def test_settings_that_do_not_fit_together_name_every_key(
@@ -486,7 +492,8 @@ def test_settings_that_do_not_fit_together_name_every_key(
 
 def test_runs_without_scipy(tmp_path):
     # the package needs numpy alone: importing the CLI loads no scipy, and
-    # the two checks that read the spline tables run with scipy blocked
+    # the two checks that read the spline tables and the holder check (trees,
+    # strips, covers) run with scipy blocked
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     plain = "import sys, varcarleson.cli; assert 'scipy' not in sys.modules, 'scipy loaded'"
@@ -494,7 +501,7 @@ def test_runs_without_scipy(tmp_path):
         "import sys\n"
         "sys.modules['scipy'] = None\n"
         "from varcarleson import cli\n"
-        "for which in ('dual', 'reconstruction'):\n"
+        "for which in ('dual', 'reconstruction', 'holder'):\n"
         "    assert cli.main(['verify', which, '--preset', 'tiny']) == 0, which\n"
     )
     for script in (plain, blocked):

@@ -33,7 +33,7 @@ from varcarleson.embedding import (
 )
 from varcarleson.fourier import linearized_vc
 from varcarleson.outersize import size_holder_check
-from varcarleson.tfs import StripDictionary, TFSGrid, TreeDictionary
+from varcarleson.tfs import StripDictionary, TFSGrid, TreeDictionary, tree_membership
 from varcarleson.wavepacket import BumpSpec, assemble_m, packet_hat
 
 CALIBRATION = load_calibration()
@@ -421,7 +421,7 @@ def test_domination_mask_readings_and_exclusion(config):
         assert plain[f"{side}_full_ratio"] == plain[f"{side}_masked_ratio"]
         assert plain[f"{side}_numerator"] > 0.0
 
-    excluded = dicts[+1].masks[len(dicts[+1].masks) // 2].copy()
+    excluded = tree_membership(grid, dicts[+1].trees[len(dicts[+1]) // 2])
     masked = check_domination(seq, selection, grid, config,
                               excluded=excluded, dictionaries=dicts)
     assert masked["finite"]

@@ -21,7 +21,6 @@ from varcarleson.fourier import (
     linearized_vc,
     partial_fourier,
     pointwise_norm_comparison,
-    pointwise_variational,
     variational_carleson,
 )
 
@@ -264,19 +263,6 @@ def test_constant_extreme_selection_returns_signal():
     assert np.abs(seq[0].values - sig.values).max() < 1e-10
 
 
-def test_pointwise_variation_coordinatewise():
-    space = NormedSpace(3, 2.0)
-    sig = _random_band(51, space=space)
-    r = 2.5
-    pv = pointwise_variational(sig, r)
-    assert pv.shape == (sig.n, 3)
-    # each coordinate agrees with the scalar operator on that coordinate alone
-    for w in range(3):
-        coord = SampledSignal(sig.x0, sig.dx, sig.values[:, w], SPACE1)
-        sv = variational_carleson(coord, r)
-        assert np.array_equal(pv[:, w], sv)
-
-
 def test_pointwise_norm_comparison_directions():
     space = NormedSpace(4, 2.0)
     sig = _random_band(61, space=space)
@@ -357,5 +343,3 @@ def test_variation_domain_error():
     sig = _gaussian(n=64, dx=1 / 8)
     with pytest.raises(ValueError):
         variational_carleson(sig, 0.5)
-    with pytest.raises(ValueError):
-        pointwise_variational(sig, 0.0)

@@ -25,6 +25,7 @@ from varcarleson.tfs import (
     TFSGrid,
     Tree,
     TreeDictionary,
+    strip_membership,
     tree_membership,
 )
 
@@ -159,7 +160,7 @@ def oracle_replay(field, trees, spec, order):
             return own, replayed, vals[best]
         own.append((best, vals[best]))
         replayed.append(vals[pick])
-        alive &= ~trees.masks[pick]
+        alive &= ~tree_membership(field.grid, trees.trees[pick])
         live.remove(pick)
 
 
@@ -223,7 +224,7 @@ def test_zeroed_terms_match_restricted_field(setting, spec, q):
     # live cells equals the quasinorm of the restricted field, bit for bit
     grid, field, trees, strips = setting
     subsets = outersize._strip_subsets(trees, strips)
-    stack = strips.masks.reshape(len(strips), -1)
+    stack = np.stack([strip_membership(grid, strip).ravel() for strip in strips.strips])
     norms, terms = outersize._size_terms(field, spec)
     rng = np.random.default_rng(17)
     masks = [np.ones(stack.shape[1], dtype=bool)]
@@ -260,10 +261,23 @@ def test_lex_pick_matches_full_lexsort():
     assert tied >= 100
 
 
+def membership_rows(dictionary, region):
+    """The dense (n_trees, n_cells) incidence from the one-tree membership rule (oracle)."""
+    grid = dictionary.grid
+    rows = [tree_membership(grid, tree, region).ravel() for tree in dictionary.trees]
+    return np.array(rows, dtype=bool).reshape(len(dictionary), math.prod(grid.shape))
+
+
 def dense_region_max(dictionary, region, density):
-    """The region max over the dense incidence (oracle for ``_region_max``)."""
-    mat = dictionary.incidence(region).reshape(len(dictionary), -1)
-    return np.where(mat, density, 0.0).max(axis=1)
+    """The region max over the membership rows (oracle for ``_region_reduce(np.maximum, ...)``)."""
+    return np.where(membership_rows(dictionary, region), density, 0.0).max(axis=1)
+
+
+def nodeless_tree(grid):
+    """A tree whose top scale is the grid's smallest t: sigma >= 1 everywhere, so it has no node."""
+    tree = Tree(0.0, 0.0, float(grid.t[0]), THETA, THETA_IN)
+    assert not tree_membership(grid, tree).any()
+    return tree
 
 
 @pytest.fixture(scope="module")
@@ -287,16 +301,16 @@ def ref_dictionaries():
 @pytest.mark.parametrize("name", ["holder", "domination+", "domination-"])
 def test_region_max_matches_dense_oracle(ref_dictionaries, name):
     dictionary = ref_dictionaries[name]
-    cells = dictionary.masks[0].size
+    cells = math.prod(dictionary.grid.shape)
     rng = np.random.default_rng(5)
     density = rng.random(cells)
     density[rng.random(cells) < 0.4] = 0.0  # exact zeros
     empty_rows = 0
     for region in ("full", "in", "out"):
         for dens in (density, np.zeros(cells)):
-            fast = outersize._region_max(dictionary, region, dens)
+            fast = outersize._region_reduce(np.maximum, dictionary, region, dens)
             assert np.array_equal(fast, dense_region_max(dictionary, region, dens))
-        empty_rows += int((~dictionary.incidence(region).reshape(len(dictionary), -1).any(1)).sum())
+        empty_rows += int((~membership_rows(dictionary, region).any(axis=1)).sum())
     assert empty_rows > 0  # the out regions have trees without cells
 
 
@@ -304,12 +318,12 @@ def test_region_max_matches_dense_oracle(ref_dictionaries, name):
 def test_region_sum_matches_dense_oracle(ref_dictionaries, name):
     # the segment sums of a full size evaluation against the dense product
     dictionary = ref_dictionaries[name]
-    cells = dictionary.masks[0].size
+    cells = math.prod(dictionary.grid.shape)
     rng = np.random.default_rng(5)
     density = rng.random(cells)
     density[rng.random(cells) < 0.4] = 0.0  # exact zeros
     for region in ("full", "in", "out"):
-        mat = dictionary.incidence(region).reshape(len(dictionary), -1)
+        mat = membership_rows(dictionary, region)
         fast = outersize._sizes_over(dictionary, [(region, 1.0, density)])
         dense = (mat @ density) / dictionary.scales
         assert np.allclose(fast, dense, rtol=1e-13, atol=0.0)
@@ -320,11 +334,10 @@ def test_region_sum_matches_dense_oracle(ref_dictionaries, name):
 
 def test_region_max_reads_zero_on_an_empty_row(setting):
     grid, field, trees, _ = setting
-    masks = np.stack([trees.masks[100], np.zeros(grid.shape, dtype=bool), trees.masks[150]])
-    hand = TreeDictionary(grid, (trees.trees[100], trees.trees[120], trees.trees[150]), masks)
+    hand = TreeDictionary(grid, (trees.trees[100], nodeless_tree(grid), trees.trees[150]))
     density = field.norms().ravel()
     for region in ("full", "in", "out"):
-        fast = outersize._region_max(hand, region, density)
+        fast = outersize._region_reduce(np.maximum, hand, region, density)
         assert fast[1] == 0.0
         assert np.array_equal(fast, dense_region_max(hand, region, density))
 
@@ -348,7 +361,8 @@ def test_sup_size_is_largest_tree_max(ref_dictionaries, name):
     sparse = OuterField(grid, holes, field.space)  # exact zeros
     zero = OuterField(grid, np.zeros_like(field.values), field.space)
     # zeroed on the union of a few trees, as a domination draw excludes them
-    excluded = dictionary.masks[rng.choice(len(dictionary), size=3, replace=False)].any(axis=0)
+    picks = rng.choice(len(dictionary), size=3, replace=False)
+    excluded = np.any([tree_membership(grid, dictionary.trees[i]) for i in picks], axis=0)
     for case in (field, sparse, zero, field.restrict(~excluded)):
         assert_sup_size_is_largest_tree_max(case, dictionary)
     assert outer_size(zero, dictionary, SizeSpec("lp", math.inf)) == 0.0
@@ -375,12 +389,59 @@ def test_sup_size_reads_only_a_sub_dictionary_s_cells(ref_dictionaries):
 
 def test_sup_size_with_empty_rows(setting):
     grid, field, trees, _ = setting
-    masks = np.stack([trees.masks[100], np.zeros(grid.shape, dtype=bool), trees.masks[150]])
-    hand = TreeDictionary(grid, (trees.trees[100], trees.trees[120], trees.trees[150]), masks)
+    nodeless = nodeless_tree(grid)
+    hand = TreeDictionary(grid, (trees.trees[100], nodeless, trees.trees[150]))
     assert_sup_size_is_largest_tree_max(field, hand)
-    empty = TreeDictionary(grid, (trees.trees[120],), np.zeros((1,) + grid.shape, dtype=bool))
+    empty = TreeDictionary(grid, (nodeless,))
     assert_sup_size_is_largest_tree_max(field, empty)
     assert outer_size(field, empty, SizeSpec("lp", math.inf)) == 0.0
+
+
+def stored_arrays(dictionary):
+    """Every array a dictionary keeps in its attributes, through dicts and tuples."""
+    pending, found = list(vars(dictionary).values()), []
+    while pending:
+        item = pending.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, dict):
+            pending.extend(item.values())
+        elif isinstance(item, tuple):
+            pending.extend(item)
+    return found
+
+
+def test_dictionaries_store_no_dense_incidence():
+    # a dictionary keeps per-element tops, cell indices and grid-sized
+    # cell masks, never an (n_elements x n_cells) array, before and after use
+    grid = make_grid()
+    field = make_field(grid)
+    cells = math.prod(grid.shape)
+    trees = TreeDictionary.build(grid, THETA, THETA_IN, eta_stride=2, y_stride=2)
+    strips = StripDictionary.build(grid, y_stride=4)
+
+    def check(dictionary):
+        arrays = stored_arrays(dictionary)
+        assert arrays
+        for arr in arrays:
+            assert arr.ndim == 1 and not arr.flags.writeable
+            if arr.dtype == bool:
+                assert arr.size == cells
+            elif arr.dtype == float:
+                assert arr.size == len(dictionary)
+            else:
+                assert arr.dtype == np.intp
+
+    check(trees)
+    check(strips)
+    for spec in (SizeSpec("f"), SizeSpec("fstar"), SizeSpec("lp", math.inf, "in")):
+        greedy_cover_profile(field, trees, spec)
+        outer_size(field, trees, spec)
+    iterated_quasinorm(field, trees, strips, SizeSpec("f"), 2.0, 2.0)
+    assert set(trees._cells) == set(trees._unions) == {"full", "in", "out"}
+    assert set(strips._cells) == {"full"}
+    for dictionary in (trees, strips, *outersize._strip_subsets(trees, strips)):
+        check(dictionary)
 
 
 @pytest.mark.parametrize(
@@ -399,7 +460,7 @@ def test_strip_local_covers_match_whole_dictionary(setting, monkeypatch, spec, p
 
 def test_strip_meeting_no_tree_has_size_zero(setting, monkeypatch):
     grid, field, trees, strips = setting
-    one = TreeDictionary(grid, (trees.trees[100],), (trees.masks[100],))
+    one = TreeDictionary(grid, (trees.trees[100],))
     assert min(len(sub) for sub in outersize._strip_subsets(one, strips)) == 0
     local = iterated_quasinorm(field, one, strips, SizeSpec("f"), 2.0, 2.0)
     assert local > 0.0
@@ -479,7 +540,7 @@ def test_super_level_measure_monotone_and_certified(setting):
         removed = np.zeros(grid.shape, dtype=bool)
         for idx, size in zip(profile.order, profile.sizes):
             if size > lam:
-                removed |= trees.masks[idx]
+                removed |= tree_membership(grid, trees.trees[idx])
         assert outer_size(field.restrict(~removed), trees, spec) <= lam
 
 
@@ -488,11 +549,8 @@ def test_greedy_against_exhaustive_cover(setting):
     spec = SizeSpec("lp", 2.0, "full")
     step = len(trees.trees) // 12
     picked = tuple(range(0, 12 * step, step))
-    sub = TreeDictionary(
-        grid=grid,
-        trees=tuple(trees.trees[i] for i in picked),
-        masks=tuple(trees.masks[i] for i in picked),
-    )
+    sub = TreeDictionary(grid=grid, trees=tuple(trees.trees[i] for i in picked))
+    rows = [tree_membership(grid, tree) for tree in sub.trees]
     profile = greedy_cover_profile(field, sub, spec)
     top = outer_size(field, sub, spec)
     for lam in (0.5 * top, 0.1 * top):
@@ -502,7 +560,7 @@ def test_greedy_against_exhaustive_cover(setting):
             for combo in itertools.combinations(range(12), r):
                 removed = np.zeros(grid.shape, dtype=bool)
                 for i in combo:
-                    removed |= sub.masks[i]
+                    removed |= rows[i]
                 if outer_size(field.restrict(~removed), sub, spec) <= lam:
                     best = min(best, sum(sub.trees[i].s for i in combo))
         assert greedy_cost <= (1.0 + math.log(12)) * best + 1e-12
@@ -527,7 +585,7 @@ def test_linf_quasinorm_is_outer_size(setting):
 def test_single_tree_closed_form(setting):
     grid, field, trees, _ = setting
     spec = SizeSpec("lp", 2.0, "full")
-    one = TreeDictionary(grid=grid, trees=(trees.trees[100],), masks=(trees.masks[100],))
+    one = TreeDictionary(grid=grid, trees=(trees.trees[100],))
     numeric = outer_lp_quasinorm(field, one, spec, 2.0)
     closed = outer_size(field, one, spec) * trees.trees[100].s ** 0.5
     assert numeric == pytest.approx(closed, rel=1e-2)
@@ -547,9 +605,10 @@ def test_restriction_is_almost_monotone(setting):
 def test_iterated_single_strip_reduction(setting):
     grid, field, trees, strips = setting
     spec = SizeSpec("lp", 2.0, "full")
-    one = StripDictionary(grid=grid, strips=(strips.strips[3],), masks=(strips.masks[3],))
+    one = StripDictionary(grid=grid, strips=(strips.strips[3],))
     lhs = iterated_quasinorm(field, trees, one, spec, 3.0, 2.0)
-    inner = outer_lp_quasinorm(field.restrict(strips.masks[3]), trees, spec, 2.0)
+    restricted = field.restrict(strip_membership(grid, strips.strips[3]))
+    inner = outer_lp_quasinorm(restricted, trees, spec, 2.0)
     closed = strips.strips[3].s ** (1.0 / 3.0 - 1.0 / 2.0) * inner
     assert lhs == pytest.approx(closed, rel=1e-2)
 
@@ -594,7 +653,7 @@ def test_holder_check_flags_degenerate_bound(setting):
     lonely = Tree(0.0, 0.0, 0.15, THETA, THETA_IN)
     mask = tree_membership(grid, lonely)
     off = field.restrict(~mask)
-    tiny = TreeDictionary(grid=grid, trees=(lonely,), masks=(mask,))
+    tiny = TreeDictionary(grid=grid, trees=(lonely,))
     result = size_holder_check(off, off, tiny, p=2.0)
     assert result["pairing"] > 0.0
     assert result["rhs_norm"] == 0.0

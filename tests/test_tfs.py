@@ -142,48 +142,52 @@ def test_dictionary_coverage():
     grid = small_grid()
     td = TreeDictionary.build(grid, THETA, THETA_IN, eta_stride=2, y_stride=2)
     union = np.zeros(grid.shape, dtype=bool)
-    for mask in td.masks:
-        union |= mask
+    for tree in td.trees:
+        union |= tree_membership(grid, tree)
     assert union.all()
-    assert len(td) == len(td.trees) == len(td.masks)
-    with pytest.raises(ValueError):
-        TreeDictionary(grid=grid, trees=td.trees[:2], masks=td.masks[:3])
+    assert len(td) == len(td.trees)
+    assert len(TreeDictionary(grid, td.trees[:2])) == 2
     sd = StripDictionary.build(grid, y_stride=2)
     union = np.zeros(grid.shape, dtype=bool)
-    for mask in sd.masks:
-        union |= mask
+    for strip in sd.strips:
+        union |= strip_membership(grid, strip)
     assert union.all()
+    assert len(sd) == len(sd.strips)
 
 
 @pytest.mark.parametrize("section", ["holder", "domination"])
 def test_incidence_rows_are_memberships(section):
-    # the stacked incidence of the ref dictionaries, row by row and region by
-    # region, is the one-element membership rule
-    settings = cli.PRESETS["ref"]
-    sec = settings[section]
-    table = cli._table_from(settings)
-    grid = cli._grid_from(sec["grid"])
-    strides = {"eta_stride": int(sec["eta_stride"]), "y_stride": int(sec["y_stride"])}
-    if section == "holder":
-        dictionaries = [TreeDictionary.build(grid, *theta_windows(table, +1), **strides)]
-        strips = StripDictionary.build(grid, y_stride=int(sec["strip_stride"]))
-        assert strips.masks.shape == (len(strips),) + grid.shape
-        for strip, row in zip(strips.strips, strips.incidence("full")):
-            assert np.array_equal(row, strip_membership(grid, strip))
-        with pytest.raises(ValueError):
-            strips.incidence("in")
-    else:
-        dictionaries = list(domination_dictionaries(grid, table, **strides).values())
-    for trees in dictionaries:
-        assert trees.incidence("full") is trees.masks
-        for region in ("full", "in", "out"):
-            stack = trees.incidence(region)
-            assert stack.shape == (len(trees),) + grid.shape
-            assert not stack.flags.writeable
-            for tree, row in zip(trees.trees, stack):
-                assert np.array_equal(row, tree_membership(grid, tree, region))
-        with pytest.raises(ValueError):
-            trees.incidence("inner")
+    # the per-row cell index of the tiny and ref dictionaries, row by row and
+    # region by region, holds the cells of the one-element membership rule
+    for preset in ("tiny", "ref"):
+        settings = cli.PRESETS[preset]
+        sec = settings[section]
+        table = cli._table_from(settings)
+        grid = cli._grid_from(sec["grid"])
+        strides = {"eta_stride": int(sec["eta_stride"]), "y_stride": int(sec["y_stride"])}
+        if section == "holder":
+            dictionaries = [TreeDictionary.build(grid, *theta_windows(table, +1), **strides)]
+            strips = StripDictionary.build(grid, y_stride=int(sec["strip_stride"]))
+            for i, strip in enumerate(strips.strips):
+                rows = strip_membership(grid, strip)
+                assert np.array_equal(strips.cells(i), np.flatnonzero(rows))
+            with pytest.raises(ValueError):
+                strips.cells(0, "in")
+        else:
+            dictionaries = list(domination_dictionaries(grid, table, **strides).values())
+        for trees in dictionaries:
+            for region in ("full", "in", "out"):
+                index, bounds = trees._row_cells(region)
+                assert index.dtype == bounds.dtype == np.intp
+                assert not index.flags.writeable and not bounds.flags.writeable
+                union = np.zeros(grid.shape, dtype=bool)
+                for i, tree in enumerate(trees.trees):
+                    rows = tree_membership(grid, tree, region)
+                    assert np.array_equal(trees.cells(i, region), np.flatnonzero(rows))
+                    union |= rows
+                assert np.array_equal(trees._union(region), union.ravel())
+            with pytest.raises(ValueError):
+                trees.cells(0, "inner")
 
 
 def test_dictionary_coverage_failure_raises():
