@@ -278,7 +278,6 @@ class ExperimentConfig:
     space: NormedSpace
     exponents: dict
     settings: dict
-    out: str | None = None
 
     def __post_init__(self):
         if not (0 <= self.seed < 2**64):
@@ -521,7 +520,6 @@ def resolve_config(
     preset: str = "ref",
     config_path: str | None = None,
     seed: int | None = None,
-    out: str | None = None,
 ) -> ExperimentConfig:
     if preset not in PRESETS:
         raise ConfigurationError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
@@ -549,7 +547,6 @@ def resolve_config(
         space=NormedSpace(int(settings["space"]["dim"]), float(settings["space"]["exponent"])),
         exponents=dict(settings["exponents"]),
         settings=settings,
-        out=out,
     )
 
 
@@ -624,6 +621,16 @@ def sweep_ratio(signal, selection: FrequencySelection, p: float, r: float) -> fl
     return numerator / denominator
 
 
+def _header(config: ExperimentConfig, experiment: str) -> dict:
+    """The keys that open every sweep, verify and converge report."""
+    return {
+        "experiment": experiment,
+        "preset": config.preset,
+        "seed": config.seed,
+        "admissibility": config.admissibility(),
+    }
+
+
 def run_sweep(config: ExperimentConfig) -> dict:
     sec = config.settings["sweep"]
     levels = int(sec["levels"])
@@ -659,14 +666,7 @@ def run_sweep(config: ExperimentConfig) -> dict:
             )
             best = ratio if best is None else max(best, ratio)
         summary.append({"p": p, "r": r, "r0": r0, "admissible": admissible, "max_ratio": best})
-    return {
-        "experiment": "sweep",
-        "preset": config.preset,
-        "seed": config.seed,
-        "admissibility": config.admissibility(),
-        "rows": rows,
-        "cells": summary,
-    }
+    return {**_header(config, "sweep"), "rows": rows, "cells": summary}
 
 
 # --- verify ------------------------------------------------------------------
@@ -787,6 +787,18 @@ def holder_corpus_maxima(config: ExperimentConfig) -> dict:
     return {"full": max_full, "lebesgue": max_leb, "degenerate_pairs": degenerate}
 
 
+def _band_checks(maxima: dict, keys, recorded: dict, tolerance: str, suffix: str) -> dict:
+    """One ``<key>_<suffix>`` check per key: the maximum lies within the relative
+    ``recorded[tolerance]`` of its recorded ref value.
+    """
+    tol = float(recorded[tolerance])
+    checks = {}
+    for key in keys:
+        want = float(recorded["maxima"]["ref"][key])
+        checks[f"{key}_{suffix}"] = abs(maxima[key] - want) <= tol * want
+    return checks
+
+
 def _verify_holder(config: ExperimentConfig) -> dict:
     maxima = holder_corpus_maxima(config)
     checks = {
@@ -797,16 +809,13 @@ def _verify_holder(config: ExperimentConfig) -> dict:
     recorded = load_calibration()["holder_corpus"]
     # Band checks compare against recorded maxima and only make sense at the
     # seeds they were recorded for; other seeds keep the structural checks.
+    kinds = ("full", "lebesgue")
     if config.preset == "ref" and config.seed in recorded["check_seeds"]:
-        tol = float(recorded["seed_tolerance"])
-        for kind in ("full", "lebesgue"):
-            want = float(recorded["maxima"]["ref"][kind])
-            checks[f"{kind}_within_seed_band"] = abs(maxima[kind] - want) <= tol * want
+        checks.update(_band_checks(maxima, kinds, recorded, "seed_tolerance", "within_seed_band"))
     elif config.preset == "fine" and config.seed == int(recorded["seed"]):
-        tol = float(recorded["refine_tolerance"])
-        for kind in ("full", "lebesgue"):
-            want = float(recorded["maxima"]["ref"][kind])
-            checks[f"{kind}_within_refine_band"] = abs(maxima[kind] - want) <= tol * want
+        checks.update(
+            _band_checks(maxima, kinds, recorded, "refine_tolerance", "within_refine_band")
+        )
     return {"maxima": maxima, "checks": checks, "pass": all(checks.values())}
 
 
@@ -882,15 +891,11 @@ def _verify_domination(config: ExperimentConfig) -> dict:
     recorded = load_calibration()["domination"]
     if config.seed == int(recorded["seed"]):
         if config.preset == "ref":
-            tol = float(recorded["seed_tolerance"])
-            for key, value in maxima.items():
-                want = float(recorded["maxima"]["ref"][key])
-                checks[f"{key}_within_band"] = abs(value - want) <= tol * want
+            checks.update(_band_checks(maxima, maxima, recorded, "seed_tolerance", "within_band"))
         elif config.preset == "fine":
-            tol = float(recorded["refine_tolerance"])
-            for key, value in maxima.items():
-                want = float(recorded["maxima"]["ref"][key])
-                checks[f"{key}_within_refine_band"] = abs(value - want) <= tol * want
+            checks.update(
+                _band_checks(maxima, maxima, recorded, "refine_tolerance", "within_refine_band")
+            )
     return {**result, "checks": checks, "pass": all(checks.values())}
 
 
@@ -939,14 +944,7 @@ _VERIFY_RUNNERS = {
 def run_verify(config: ExperimentConfig, which: str) -> dict:
     if which not in _VERIFY_RUNNERS:
         raise ConfigurationError(f"unknown check {which!r}; choose from {sorted(_VERIFY_RUNNERS)}")
-    payload = _VERIFY_RUNNERS[which](config)
-    return {
-        "experiment": f"verify:{which}",
-        "preset": config.preset,
-        "seed": config.seed,
-        "admissibility": config.admissibility(),
-        **payload,
-    }
+    return {**_header(config, f"verify:{which}"), **_VERIFY_RUNNERS[which](config)}
 
 
 # --- converge ----------------------------------------------------------------
@@ -997,15 +995,8 @@ def run_convergence(config: ExperimentConfig) -> dict:
             checks["gaussian_strictly_decreasing"] = bool(
                 np.all(np.diff(sup_errors[live]) < 0.0)
             )
-    return {
-        "experiment": "converge",
-        "preset": config.preset,
-        "seed": config.seed,
-        "admissibility": config.admissibility(),
-        "rows": rows,
-        "checks": checks,
-        "pass": all(checks.values()),
-    }
+    report = {"rows": rows, "checks": checks, "pass": all(checks.values())}
+    return {**_header(config, "converge"), **report}
 
 
 # --- packets dump -------------------------------------------------------------
@@ -1109,28 +1100,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> int:
     experiment = args.command if args.command != "packets" else "packets:" + args.action
-    config = resolve_config(
-        experiment, preset=args.preset, config_path=args.config, seed=args.seed, out=args.out
-    )
+    config = resolve_config(experiment, preset=args.preset, config_path=args.config, seed=args.seed)
     if args.command == "sweep":
         report = run_sweep(config)
-        _emit_csv(report["rows"], ["p", "r", "r0", "seed", "ratio", "admissible"], config.out)
+        _emit_csv(report["rows"], ["p", "r", "r0", "seed", "ratio", "admissible"], args.out)
         summary = {k: report[k] for k in ("experiment", "preset", "seed", "admissibility", "cells")}
         sys.stderr.write(json.dumps(_jsonable(summary), sort_keys=True) + "\n")
         return EXIT_OK
     if args.command == "verify":
         report = run_verify(config, args.which)
-        _emit_json(report, config.out)
+        _emit_json(report, args.out)
         return EXIT_OK if report["pass"] else EXIT_FAIL
     if args.command == "converge":
         report = run_convergence(config)
-        _emit_csv(report["rows"], ["kind", "xi", "sup_error", "vr_tail"], config.out)
+        _emit_csv(report["rows"], ["kind", "xi", "sup_error", "vr_tail"], args.out)
         summary = {k: report[k] for k in ("experiment", "preset", "seed", "checks", "pass")}
         sys.stderr.write(json.dumps(_jsonable(summary), sort_keys=True) + "\n")
         return EXIT_OK if report["pass"] else EXIT_FAIL
-    if config.out is None:
+    if args.out is None:
         raise ConfigurationError("packets dump writes binary data and needs --out")
-    report = run_packets_dump(config, config.out)
+    report = run_packets_dump(config, args.out)
     sys.stderr.write(json.dumps(_jsonable(report), sort_keys=True) + "\n")
     return EXIT_OK
 

@@ -118,14 +118,12 @@ def norm_eval(v, space: NormedSpace) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def duality_pairing(v, w, space: NormedSpace | None = None) -> np.ndarray | complex:
+def duality_pairing(v, w) -> np.ndarray | complex:
     """Bilinear-in-the-first-slot pairing sum_k v_k * conj(w_k) over the last axis."""
     a = np.asarray(v, dtype=complex)
     b = np.asarray(w, dtype=complex)
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"coordinate counts differ: {a.shape[-1]} vs {b.shape[-1]}")
-    if space is not None and a.shape[-1] != space.dim:
-        raise ValueError(f"vectors have {a.shape[-1]} coordinates, space has dim {space.dim}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("duality_pairing requires finite entries")
     out = (a * np.conj(b)).sum(axis=-1)
@@ -298,11 +296,10 @@ def make_signal(
     *,
     n: int = 256,
     dx: float = 1.0 / 16.0,
-    x0: float | None = None,
     space: NormedSpace | None = None,
     seed: int | None = None,
 ) -> SampledSignal:
-    """Deterministic test-signal factory.
+    """Deterministic test-signal factory on the centred grid x0 = -n*dx/2.
 
     Two kinds: ``gaussian`` (params center, sigma, direction), which must
     decay below 1e-12 (relative) at the grid edges or a ConfigurationError
@@ -318,9 +315,7 @@ def make_signal(
     dx = _as_float("dx", dx)
     if dx <= 0:
         raise ConfigurationError(f"need dx > 0, got {dx}")
-    if x0 is None:
-        x0 = -0.5 * n * dx
-    x0 = _as_float("x0", x0)
+    x0 = -0.5 * n * dx
     x = x0 + dx * np.arange(n)
     nyquist = 0.5 / dx
 

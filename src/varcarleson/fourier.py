@@ -7,14 +7,15 @@ cutoff.  A coefficient sitting exactly at the cutoff contributes half weight
 The map ``xi -> C_xi f(x)`` is then piecewise constant between neighboring
 DFT frequencies, and the r-variation operator, linearized variation
 increments, and coordinatewise variation are all evaluated over a finite
-cutoff grid.
+cutoff grid.  Each operator takes the frequencies and coefficients straight
+from the transform conventions of :mod:`varcarleson.core` (``_freq_grid``,
+``_dft_values``), once per call.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .core import (
     SampledSignal,
     SequenceSignal,
     _dft_values,
-    _freeze,
     _freq_grid,
     _idft_values,
     norm_eval,
@@ -32,8 +32,6 @@ from .core import (
 from .variation import _batched_variation, _check_r
 
 __all__ = [
-    "Spectrum",
-    "dft",
     "partial_fourier",
     "carleson_path",
     "variational_carleson",
@@ -42,50 +40,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """DFT coefficients on the ascending frequency grid k/(n*dx)."""
+def _spectrum(signal: SampledSignal) -> tuple:
+    """Ascending frequencies k/(n*dx) and DFT coefficients, shapes (n,) and (n, d).
 
-    frequencies: np.ndarray  # (n,) ascending
-    coefficients: np.ndarray  # (n, d) complex
-    x0: float
-    dx: float
-    space: NormedSpace
-
-    def __post_init__(self):
-        freqs = np.asarray(self.frequencies, dtype=float)
-        coeffs = np.asarray(self.coefficients, dtype=complex)
-        if freqs.ndim != 1 or coeffs.ndim != 2 or coeffs.shape[0] != freqs.size:
-            raise ValueError(
-                f"inconsistent shapes: frequencies {freqs.shape}, coefficients {coeffs.shape}"
-            )
-        if coeffs.shape[1] != self.space.dim:
-            raise ValueError(
-                f"coefficients have {coeffs.shape[1]} coordinates, space has dim {self.space.dim}"
-            )
-        if np.any(np.diff(freqs) <= 0):
-            raise ValueError("frequencies must be strictly increasing")
-        for name, arr in (("frequencies", freqs), ("coefficients", coeffs)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, _freeze(arr))
-
-    @property
-    def dxi(self) -> float:
-        return float(self.frequencies[1] - self.frequencies[0])
-
-
-def _require_power_of_two(n: int) -> None:
+    fhat(xi_k) = dx * sum_j f(x_j) e^{-2 pi i xi_k x_j}; the sample count
+    must be a power of two.
+    """
+    n = signal.n
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError(f"sample count must be a power of two, got {n}")
-
-
-def dft(signal: SampledSignal) -> Spectrum:
-    """Forward transform; fhat(xi_k) = dx * sum_j f(x_j) e^{-2 pi i xi_k x_j}."""
-    _require_power_of_two(signal.n)
-    coeffs = _dft_values(signal.values, signal.x0, signal.dx)
-    freqs = _freq_grid(signal.n, signal.dx)
-    return Spectrum(freqs, coeffs, signal.x0, signal.dx, signal.space)
+    return _freq_grid(n, signal.dx), _dft_values(signal.values, signal.x0, signal.dx)
 
 
 def _cutoff_weights(freqs: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
@@ -122,22 +86,18 @@ def partial_fourier(signal: SampledSignal, xi: float) -> SampledSignal:
     return signal.with_values(carleson_path(signal, [xi])[:, 0, :])
 
 
-def _default_grid(spec: Spectrum) -> np.ndarray:
-    return np.asarray(spec.frequencies, dtype=float)
-
-
 def carleson_path(signal: SampledSignal, xi_grid: np.ndarray | None = None) -> np.ndarray:
     """Partial-integral values at every sample and cutoff, shape (n, K, d)."""
-    spec = dft(signal)
-    grid = _default_grid(spec) if xi_grid is None else np.asarray(xi_grid, dtype=float)
+    freqs, coeffs = _spectrum(signal)
+    grid = freqs if xi_grid is None else np.asarray(xi_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1 or not np.all(np.isfinite(grid)):
         raise ValueError("cutoff grid must be a finite 1-D array")
-    weights = _cutoff_weights(spec.frequencies, grid)  # (K, n)
+    weights = _cutoff_weights(freqs, grid)  # (K, n)
     out = np.empty((signal.n, grid.size, signal.dim), dtype=complex)
     block = max(1, (1 << 22) // (signal.n * signal.dim))  # cap scratch at ~64 MiB
     for start in range(0, grid.size, block):
         sel = slice(start, min(start + block, grid.size))
-        partial = weights[sel][:, :, None] * spec.coefficients[None, :, :]  # (Kb, n, d)
+        partial = weights[sel][:, :, None] * coeffs[None, :, :]  # (Kb, n, d)
         stacked = np.moveaxis(partial, 1, 0).reshape(signal.n, -1)
         vals = _idft_values(stacked, signal.x0, signal.dx)
         out[:, sel, :] = vals.reshape(signal.n, sel.stop - sel.start, signal.dim)
@@ -153,15 +113,18 @@ def variational_carleson(
     return _batched_variation(path, signal.space, r)
 
 
-def _rowwise_partial(spec: Spectrum, phases: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
+def _rowwise_partial(
+    freqs: np.ndarray, coeffs: np.ndarray, phases: np.ndarray, cutoffs: np.ndarray
+) -> np.ndarray:
     """C_{c(x_i)} f(x_i) with a per-sample cutoff array; shape (n, d).
 
     ``phases`` is the (n, n) table exp(2 pi i x_i xi_k) * dxi on the sample
-    grid.  It and ``spec`` do not depend on the cutoffs, so ``linearized_vc``
-    builds both once per call and shares them across every level.
+    grid.  It and the transform do not depend on the cutoffs, so
+    ``linearized_vc`` builds them once per call and shares them across every
+    level.
     """
-    w = _cutoff_weights(spec.frequencies, cutoffs)  # (n_x, n_freq)
-    return np.einsum("xk,xk,kd->xd", w, phases, spec.coefficients, optimize=True)
+    w = _cutoff_weights(freqs, cutoffs)  # (n_x, n_freq)
+    return np.einsum("xk,xk,kd->xd", w, phases, coeffs, optimize=True)
 
 
 def linearized_vc(signal: SampledSignal, selection: FrequencySelection) -> SequenceSignal:
@@ -177,10 +140,13 @@ def linearized_vc(signal: SampledSignal, selection: FrequencySelection) -> Seque
             f"selection has {selection.n} rows, signal has {signal.n} samples"
         )
     levels = selection.levels
-    spec = dft(signal)
+    freqs, coeffs = _spectrum(signal)
     x = signal.grid()
-    phases = np.exp(2j * np.pi * x[:, None] * spec.frequencies[None, :]) * spec.dxi
-    stages = [_rowwise_partial(spec, phases, levels[:, j]) for j in range(levels.shape[1])]
+    dxi = float(freqs[1] - freqs[0])
+    phases = np.exp(2j * np.pi * x[:, None] * freqs[None, :]) * dxi
+    stages = [
+        _rowwise_partial(freqs, coeffs, phases, levels[:, j]) for j in range(levels.shape[1])
+    ]
     entries = [signal.with_values(stages[j + 1] - stages[j]) for j in range(selection.steps)]
     return SequenceSignal(tuple(entries))
 
@@ -197,7 +163,6 @@ def pointwise_norm_comparison(
     signal: SampledSignal,
     r: float,
     s: float,
-    xi_grid: np.ndarray | None = None,
     *,
     candidates: int = 40,
     seed: int = 0,
@@ -212,6 +177,7 @@ def pointwise_norm_comparison(
     then holds for suprema over any shared candidate family.  Returns the
     worst signed violations over a family of random candidates plus the full
     grid, for both the per-candidate and the sup-over-candidates comparison.
+    The cutoffs are the signal's DFT frequencies.
 
     Candidates share most of their consecutive pairs (i, j), so the
     increments, ``|Delta|^r`` and ``||Delta||^r`` are built once per distinct
@@ -224,7 +190,7 @@ def pointwise_norm_comparison(
         raise ValueError(f"outer exponent must satisfy s >= 1, got {s}")
     if candidates < 0:
         raise ValueError(f"candidate count must be at least 0, got {candidates}")
-    path = carleson_path(signal, xi_grid)
+    path = carleson_path(signal)
     n, K, _ = path.shape
     rng = np.random.default_rng(seed)
     family = [np.arange(K)] + _random_monotone_subsets(rng, K, candidates)

@@ -75,11 +75,11 @@ _LEFT_LIMIT = 1.0 - 1e-12  # sample measures just below each level
 class SizeSpec:
     """Which local size to use: plain lp over a tree region, or a composite.
 
-    ``lp`` takes an exponent (>= 1 or inf) and a region (full/in/out).
-    ``r`` is the energy size: the L2 average over the out part, computed
-    through the duality pairing rather than the norm evaluator.  ``f`` adds
-    the sup over the full tree to ``r``; ``fstar`` adds the L1 average over
-    the in part.
+    ``lp`` takes an exponent (>= 1 or inf) and a region (full/in/out).  The
+    composites share an energy part, the L2 average over the out part
+    computed through the duality pairing rather than the norm evaluator:
+    ``f`` adds the sup over the full tree to it, ``fstar`` the L1 average
+    over the in part.
     """
 
     kind: str
@@ -87,7 +87,7 @@ class SizeSpec:
     region: str = "full"
 
     def __post_init__(self):
-        if self.kind not in ("lp", "r", "f", "fstar"):
+        if self.kind not in ("lp", "f", "fstar"):
             raise ConfigurationError(f"unknown size kind {self.kind!r}")
         if self.kind == "lp":
             if self.exponent is None or not (
@@ -105,10 +105,10 @@ def _size_terms(field: OuterField, spec: SizeSpec) -> tuple:
 
     A finite exponent p makes a term (region sum of the density / measure)^(1/p)
     with the density already raised to p; p = inf makes it the region max of
-    the density.  ``r`` is the energy term alone; ``f`` and ``fstar`` add the
-    sup over the full tree or the L1 average over the in part to it.  Every
-    density is a per-cell value, so a field zeroed off some cells has exactly
-    the terms of :func:`_zeroed`.
+    the density.  ``f`` and ``fstar`` are the energy term (L2 over the out
+    part) plus the sup over the full tree or the L1 average over the in part.
+    Every density is a per-cell value, so a field zeroed off some cells has
+    exactly the terms of :func:`_zeroed`.
     """
     norms = field.norms().ravel()
     weights = field.grid.cell_weights().ravel()
@@ -121,8 +121,8 @@ def _size_terms(field: OuterField, spec: SizeSpec) -> tuple:
     # energy density through the duality pairing, not the norm evaluator
     quad = np.real(duality_pairing(field.values, field.values)).ravel()
     energy = ("out", 2.0, weights * quad)
-    extra = {"r": [], "f": [lp(math.inf, "full")], "fstar": [lp(1.0, "in")]}
-    return norms, [energy] + extra[spec.kind]
+    extra = lp(math.inf, "full") if spec.kind == "f" else lp(1.0, "in")
+    return norms, [energy, extra]
 
 
 def _zeroed(keep: np.ndarray, norms: np.ndarray, terms: list) -> tuple:
@@ -208,8 +208,6 @@ def local_size(field: OuterField, element, spec: SizeSpec) -> float:
         ).sum()
     )
     energy = math.sqrt(max(quad, 0.0) / measure)
-    if spec.kind == "r":
-        return energy
     if spec.kind == "f":
         return energy + lp_part(math.inf, "full")
     return energy + lp_part(1.0, "in")
@@ -420,9 +418,20 @@ def _level_grid(top: float) -> np.ndarray:
     return levels
 
 
-def _quasinorm_from_profile(top: float, selection: CoverSelection, p: float) -> float:
+def _quasinorm(first: np.ndarray, p: float, cover) -> float:
+    """Outer L^p quasinorm from the first-round sizes and a greedy profile.
+
+    The top is the largest first-round size; p = inf returns it and a zero
+    top returns 0.  Otherwise ``cover(stop_below)`` runs the greedy down to
+    ``top / _LEVEL_SPAN`` and the measure's p-th moment is integrated over
+    the level grid.
+    """
+    top = float(first.max(initial=0.0))
+    if math.isinf(p):
+        return top
     if top <= 0.0:
         return 0.0
+    selection = cover(top / _LEVEL_SPAN)
     levels = _level_grid(top)
     # left limits: at the top level itself the measure has already dropped
     mu = _prefix_measures(selection, levels * _LEFT_LIMIT)
@@ -436,13 +445,7 @@ def _quasinorm_from_profile(top: float, selection: CoverSelection, p: float) -> 
 def _lp_quasinorm(dictionary, norms: np.ndarray, terms: list, p: float) -> float:
     """Outer L^p quasinorm from built size terms: the top, then the greedy profile."""
     first = _sizes_over(dictionary, terms)
-    top = float(first.max(initial=0.0))
-    if math.isinf(p):
-        return top
-    if top <= 0.0:
-        return 0.0
-    selection = _cover(dictionary, norms, terms, first, top / _LEVEL_SPAN)
-    return _quasinorm_from_profile(top, selection, p)
+    return _quasinorm(first, p, lambda stop: _cover(dictionary, norms, terms, first, stop))
 
 
 def outer_lp_quasinorm(
@@ -511,13 +514,9 @@ def iterated_quasinorm(
         for i in np.flatnonzero(live & touched):
             vals[i] = strip_value(i)
 
-    top = float(vals.max())
-    if math.isinf(p):
-        return top
-    if top <= 0.0:
-        return 0.0
-    selection = _greedy(strip_dictionary, lambda: vals, remove, alive, live, top / _LEVEL_SPAN)
-    return _quasinorm_from_profile(top, selection, p)
+    return _quasinorm(
+        vals, p, lambda stop: _greedy(strip_dictionary, lambda: vals, remove, alive, live, stop)
+    )
 
 
 def pairing_integral(field_a: OuterField, field_b: OuterField) -> float:

@@ -9,6 +9,8 @@ from varcarleson.core import (
     FrequencySelection,
     NormedSpace,
     SampledSignal,
+    _dft_values,
+    _freq_grid,
     _idft_values,
     make_signal,
     norm_eval,
@@ -17,7 +19,6 @@ from varcarleson import fourier
 from varcarleson.fourier import (
     _cutoff_weights,
     carleson_path,
-    dft,
     linearized_vc,
     partial_fourier,
     pointwise_norm_comparison,
@@ -35,31 +36,38 @@ def _random_band(seed, n=128, dx=1 / 8, space=SPACE1, band=1.5):
     return make_signal("bandlimited-random", {"band": band}, n=n, dx=dx, space=space, seed=seed)
 
 
+def _transform(signal):
+    """Ascending DFT frequencies and coefficients of a signal."""
+    return _freq_grid(signal.n, signal.dx), _dft_values(signal.values, signal.x0, signal.dx)
+
+
 def test_dft_round_trip_and_parseval():
     sig = _random_band(1, space=NormedSpace(3, 2.0))
-    spec = dft(sig)
-    back = _idft_values(spec.coefficients, spec.x0, spec.dx)
+    freqs, coeffs = _transform(sig)
+    back = _idft_values(coeffs, sig.x0, sig.dx)
     assert np.abs(back - sig.values).max() < 1e-10
     lhs = (np.abs(sig.values) ** 2).sum() * sig.dx
-    rhs = (np.abs(spec.coefficients) ** 2).sum() * spec.dxi
+    rhs = (np.abs(coeffs) ** 2).sum() * (freqs[1] - freqs[0])
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 def test_dft_requires_power_of_two():
     sig = SampledSignal(0.0, 0.1, np.ones((100, 1)), SPACE1)
-    with pytest.raises(ValueError):
-        dft(sig)
+    with pytest.raises(ValueError, match="power of two"):
+        carleson_path(sig)
+    with pytest.raises(ValueError, match="power of two"):
+        linearized_vc(sig, FrequencySelection.constant([-1.0, 1.0], sig.n))
 
 
 def test_dft_matches_direct_sum_oracle():
     # slow quadratic transform, independent of the FFT path
     sig = _random_band(7, n=32, dx=0.25)
-    spec = dft(sig)
+    freqs, coeffs = _transform(sig)
     x = sig.grid()
     for k in (0, 5, 17, 31):
-        xi = spec.frequencies[k]
+        xi = freqs[k]
         direct = sig.dx * (sig.values[:, 0] * np.exp(-2j * np.pi * xi * x)).sum()
-        assert spec.coefficients[k, 0] == pytest.approx(direct, abs=1e-12)
+        assert coeffs[k, 0] == pytest.approx(direct, abs=1e-12)
 
 
 def test_partial_fourier_recovers_bandlimited_signal():
@@ -80,9 +88,9 @@ def test_partial_fourier_halves_at_central_cutoff():
 def test_cutoff_weight_convention_is_symmetric():
     # value at an on-grid cutoff is the mean of the two adjacent off-grid values
     sig = _random_band(9)
-    spec = dft(sig)
-    xi = float(spec.frequencies[40])
-    h = spec.dxi / 2
+    freqs, _ = _transform(sig)
+    xi = float(freqs[40])
+    h = (freqs[1] - freqs[0]) / 2
     mid = partial_fourier(sig, xi).values
     lo = partial_fourier(sig, xi - h).values
     hi = partial_fourier(sig, xi + h).values
@@ -98,32 +106,33 @@ def test_partial_fourier_clamps_with_warning():
 
 def test_carleson_path_matches_direct_oracle():
     sig = _random_band(5, n=64, dx=0.25, space=NormedSpace(2, 2.0))
-    spec = dft(sig)
+    freqs, coeffs = _transform(sig)
+    dxi = freqs[1] - freqs[0]
     grid = np.array([-1.3, -0.25, 0.0, 0.6, 1.9])
     path = carleson_path(sig, grid)
     x = sig.grid()
-    tol = 1e-9 * spec.dxi
+    tol = 1e-9 * dxi
     for kc, xi in enumerate(grid):
-        w = np.where(spec.frequencies < xi - tol, 1.0, 0.0)
-        w[np.abs(spec.frequencies - xi) <= tol] = 0.5
+        w = np.where(freqs < xi - tol, 1.0, 0.0)
+        w[np.abs(freqs - xi) <= tol] = 0.5
         direct = np.einsum(
             "k,kd,xk->xd",
             w,
-            spec.coefficients,
-            np.exp(2j * np.pi * np.outer(x, spec.frequencies)),
-        ) * spec.dxi
+            coeffs,
+            np.exp(2j * np.pi * np.outer(x, freqs)),
+        ) * dxi
         assert np.abs(path[:, kc, :] - direct).max() < 1e-10
 
 
 def test_max_bounded_by_variation_and_grid_refinement():
     sig = _random_band(13, space=NormedSpace(2, 1.5))
-    spec = dft(sig)
+    freqs, _ = _transform(sig)
     cmax = norm_eval(carleson_path(sig), sig.space).max(axis=1)
     for r in (1.0, 2.0, 4.0):
         v = variational_carleson(sig, r)
         assert np.all(cmax <= v + 1e-10)
-    coarse = spec.frequencies[::4]
-    fine = spec.frequencies[::2]
+    coarse = freqs[::4]
+    fine = freqs[::2]
     v_coarse = variational_carleson(sig, 2.0, coarse)
     v_fine = variational_carleson(sig, 2.0, fine)
     assert np.all(v_coarse <= v_fine + 1e-12)  # refinement adds candidates
@@ -159,16 +168,17 @@ def test_linearized_increments_telescope():
     assert len(seq) == 3
     total = sum(e.values for e in seq.entries)
     # direct first/last partial integrals with per-row cutoffs
-    spec = dft(sig)
+    freqs, coeffs = _transform(sig)
+    dxi = freqs[1] - freqs[0]
     x = sig.grid()
-    phases = np.exp(2j * np.pi * x[:, None] * spec.frequencies[None, :]) * spec.dxi
-    tol = 1e-9 * spec.dxi
+    phases = np.exp(2j * np.pi * x[:, None] * freqs[None, :]) * dxi
+    tol = 1e-9 * dxi
 
     def rowwise(cuts):
-        diff = spec.frequencies[None, :] - cuts[:, None]
+        diff = freqs[None, :] - cuts[:, None]
         w = np.where(diff < -tol, 1.0, 0.0)
         w[np.abs(diff) <= tol] = 0.5
-        return np.einsum("xk,xk,kd->xd", w, phases, spec.coefficients)
+        return np.einsum("xk,xk,kd->xd", w, phases, coeffs)
 
     direct = rowwise(rows[:, -1]) - rowwise(rows[:, 0])
     assert np.abs(total - direct).max() < 1e-12
@@ -195,11 +205,11 @@ def _linearized_oracle(signal, selection):
     """Oracle: the per-level route, a fresh transform and phase table per level."""
 
     def stage(cutoffs):
-        spec = dft(signal)
+        freqs, coeffs = _transform(signal)
         x = signal.grid()
-        w = _cutoff_weights(spec.frequencies, cutoffs)
-        phases = np.exp(2j * np.pi * x[:, None] * spec.frequencies[None, :]) * spec.dxi
-        return np.einsum("xk,xk,kd->xd", w, phases, spec.coefficients, optimize=True)
+        w = _cutoff_weights(freqs, cutoffs)
+        phases = np.exp(2j * np.pi * x[:, None] * freqs[None, :]) * float(freqs[1] - freqs[0])
+        return np.einsum("xk,xk,kd->xd", w, phases, coeffs, optimize=True)
 
     stages = [stage(selection.levels[:, j]) for j in range(selection.levels.shape[1])]
     return [stages[j + 1] - stages[j] for j in range(selection.steps)]
@@ -208,7 +218,7 @@ def _linearized_oracle(signal, selection):
 def _sweep_case():
     # the ref sweep's shape: constant cutoffs drawn from the frequency grid
     sig = _random_band(71, n=128, dx=0.125, space=NormedSpace(2, 2.0), band=3.2)
-    freqs = dft(sig).frequencies
+    freqs, _ = _transform(sig)
     idx = np.sort(np.random.default_rng(1).choice(freqs.size, size=8, replace=False))
     return sig, FrequencySelection.constant(freqs[idx], sig.n)
 
@@ -222,7 +232,7 @@ def _dual_case():
 def _per_sample_case():
     # per-row cutoffs, a third of them exactly on grid frequencies (half weight)
     sig = _random_band(73, space=NormedSpace(2, 2.0))
-    freqs = dft(sig).frequencies
+    freqs, _ = _transform(sig)
     rng = np.random.default_rng(2)
     rows = rng.uniform(-4.0, 4.0, size=(sig.n, 5))
     on_grid = rng.random(rows.shape) < 1 / 3
@@ -246,11 +256,11 @@ def test_linearized_vc_makes_one_transform(monkeypatch):
     sig, sel = _sweep_case()
     calls = []
 
-    def counting_dft(signal):
-        calls.append(signal)
-        return dft(signal)
+    def counting_dft(values, x0, dx):
+        calls.append(values)
+        return _dft_values(values, x0, dx)
 
-    monkeypatch.setattr(fourier, "dft", counting_dft)
+    monkeypatch.setattr(fourier, "_dft_values", counting_dft)
     linearized_vc(sig, sel)
     assert len(calls) == 1
 

@@ -64,7 +64,9 @@ def test_size_spec_validation():
     with pytest.raises(ConfigurationError):
         SizeSpec("lp", 2.0, "boundary")
     with pytest.raises(ConfigurationError):
-        SizeSpec("r", 2.0)
+        SizeSpec("f", 2.0)
+    with pytest.raises(ConfigurationError):
+        SizeSpec("r")
 
 
 def test_local_lp_size_recomputation(setting):
@@ -101,25 +103,30 @@ def test_indicator_size_approaches_model_volume():
 
 
 def test_energy_size_equals_l2_out(setting):
+    # the composites' energy part goes through the duality pairing
     grid, field, trees, _ = setting
     checked = 0
     for tree in trees.trees[::7]:
-        via_pairing = local_size(field, tree, SizeSpec("r"))
         via_norms = local_size(field, tree, SizeSpec("lp", 2.0, "out"))
         if via_norms > 0.0:
             checked += 1
-            assert via_pairing == pytest.approx(via_norms, rel=1e-12)
+            sup_full = local_size(field, tree, SizeSpec("lp", math.inf, "full"))
+            l1_in = local_size(field, tree, SizeSpec("lp", 1.0, "in"))
+            via_f = local_size(field, tree, SizeSpec("f")) - sup_full
+            via_fstar = local_size(field, tree, SizeSpec("fstar")) - l1_in
+            assert via_f == pytest.approx(via_norms, rel=1e-12)
+            assert via_fstar == pytest.approx(via_norms, rel=1e-12)
     assert checked >= 5
 
 
 def test_composite_sizes_are_sums_of_parts(setting):
     grid, field, trees, _ = setting
     tree = trees.trees[150]
-    r = local_size(field, tree, SizeSpec("r"))
+    l2_out = local_size(field, tree, SizeSpec("lp", 2.0, "out"))
     sup_full = local_size(field, tree, SizeSpec("lp", math.inf, "full"))
     l1_in = local_size(field, tree, SizeSpec("lp", 1.0, "in"))
-    assert local_size(field, tree, SizeSpec("f")) == pytest.approx(r + sup_full, rel=1e-12)
-    assert local_size(field, tree, SizeSpec("fstar")) == pytest.approx(r + l1_in, rel=1e-12)
+    assert local_size(field, tree, SizeSpec("f")) == pytest.approx(l2_out + sup_full, rel=1e-12)
+    assert local_size(field, tree, SizeSpec("fstar")) == pytest.approx(l2_out + l1_in, rel=1e-12)
 
 
 def test_outer_size_is_max_local(setting):
@@ -673,7 +680,7 @@ def test_domain_errors(setting):
         size_holder_check(field, field, trees, strips, kind="lebesgue", p=2.0, q=1.0)
     with pytest.raises(ConfigurationError):
         size_holder_check(field, field, trees, kind="weak", p=2.0)
-    with pytest.raises(ValueError):
-        local_size(field, strips.strips[0], SizeSpec("r"))
+    with pytest.raises(ValueError, match="trees only"):
+        local_size(field, strips.strips[0], SizeSpec("f"))
     with pytest.raises(ValueError):
         CoverSelection((0,), (1.0,), ())
