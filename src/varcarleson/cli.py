@@ -403,6 +403,15 @@ def _resolves_scales(n, dx, eta, t, b):
     _check_scales(TFSGrid.build((eta[0], eta[1]), eta[2], (0.0, 1.0), 2, *t), n, dx, b)
 
 
+def _two_scales(t_min, t_max, ratio) -> bool:
+    """Whether ``TFSGrid.build``, by its own rules, makes a scale ladder from these."""
+    try:
+        TFSGrid.build((0.0, 1.0), 2, (0.0, 1.0), 2, t_min, t_max, ratio)
+    except ConfigurationError:
+        return False
+    return True
+
+
 def _gaussian_decays(sigma, n, dx):
     make_signal("gaussian", {"sigma": sigma}, n=n, dx=dx)  # the edge-decay rule
 
@@ -420,8 +429,8 @@ _axis = _ordered(
 )
 _ladder = _ordered(
     ("t_min", "t_max", "ratio"),
-    "0 < t_min < t_max and ratio > 1",
-    lambda lo, hi, ratio: 0.0 < lo < hi and ratio > 1.0,
+    "0 < t_min < t_max, ratio > 1 and two scales t_min * ratio^k inside [t_min, t_max]",
+    _two_scales,
 )
 
 

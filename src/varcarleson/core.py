@@ -42,6 +42,13 @@ def _as_float(name: str, value) -> float:
     return out
 
 
+def _ratio(num: float, den: float) -> tuple:
+    """num / den of two values >= 0 and whether it degenerates: x/0 is inf (flagged), 0/0 is 0."""
+    if den > 0.0:
+        return num / den, False
+    return (math.inf, True) if num > 0.0 else (0.0, False)
+
+
 def dual_exponent(p: float) -> float:
     """The conjugate exponent p' = p/(p-1), with inf' = 1 and p' = inf for p <= 1."""
     if math.isinf(p):

@@ -9,9 +9,9 @@ Three fields over a (modulation, translation, scale) grid:
   signals embed exactly.  The field at any translation y is the frequency
   sum itself, one matmul against the phases ``e^{2 pi i xi y} dxi``.
 * :func:`embed_packets` does the same with the truncated wave-packet profile
-  of a frequency interval in place of the window, spectrally or by a direct
-  spatial sum against the Gauss-Legendre inversion of the profile (the slow
-  route exists as an independent cross-check).
+  of a frequency interval in place of the window.  The oracle
+  :func:`embed_packets_direct` sums the Gauss-Legendre inversion of the
+  profile against the samples instead, an independent cross-check.
 * :func:`embed_majorant` builds the scalar majorant field: a lattice
   combination of increment norms gated by the angular window, smeared by the
   scale-normalized kernel ``(1 + ((x - y)/t)^2)^(-N/2) / t``.
@@ -41,6 +41,7 @@ from .core import (
     SequenceSignal,
     _dft_values,
     _freq_grid,
+    _ratio,
     duality_pairing,
     norm_eval,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "analyzing_window",
     "embed_signal",
     "embed_packets",
+    "embed_packets_direct",
     "embed_packet_sequence",
     "embed_majorant",
     "check_dual_representation",
@@ -154,32 +156,32 @@ def embed_signal(signal: SampledSignal, grid: TFSGrid, config: EmbeddingConfig) 
 
 
 def embed_packets(
-    signal: SampledSignal,
-    table: MultiplierTable,
-    interval: tuple,
-    grid: TFSGrid,
-    *,
-    sign: int = +1,
-    method: str = "spectral",
+    signal: SampledSignal, table: MultiplierTable, interval: tuple, grid: TFSGrid, *, sign: int = +1
 ) -> OuterField:
     """Truncated wave-packet embedding of the signal over the grid.
 
-    ``method="spectral"`` multiplies the signal spectrum by the packet
-    profile at each node.  ``method="direct"`` evaluates the spatial kernel
-    by Gauss-Legendre inversion and sums over samples; it is quadratic in
-    the grid sizes and meant for cross-checks on a handful of nodes
-    (oracle: used by tests/verify only).
+    One rule, the spectral profile sum: the field at (eta, y, t) is
+    ``sum_xi fhat(xi) packet_hat(eta, t, t (xi - eta)) e^{2 pi i xi y} dxi``.
     """
     _check_scales(grid, signal.n, signal.dx, table.spec.b)
-    if method == "spectral":
-        values = _spectral_field(
-            signal,
-            grid,
-            lambda eta, t, xi: packet_hat(table, interval, eta, t, t * (xi - eta), sign=sign),
-        )
-        return OuterField(grid, values, signal.space)
-    if method != "direct":
-        raise ValueError(f"method must be 'spectral' or 'direct', got {method!r}")
+    values = _spectral_field(
+        signal,
+        grid,
+        lambda eta, t, xi: packet_hat(table, interval, eta, t, t * (xi - eta), sign=sign),
+    )
+    return OuterField(grid, values, signal.space)
+
+
+def embed_packets_direct(
+    signal: SampledSignal, table: MultiplierTable, interval: tuple, grid: TFSGrid, *, sign: int = +1
+) -> OuterField:
+    """The field of :func:`embed_packets` as a spatial sum over the samples.
+
+    Evaluates the spatial kernel by Gauss-Legendre inversion of the packet
+    profile; quadratic in the grid sizes and meant for cross-checks on a
+    handful of nodes (oracle: used by tests only).
+    """
+    _check_scales(grid, signal.n, signal.dx, table.spec.b)
     out = _direct_field(signal.values, signal.grid(), signal.dx, table, interval, grid, sign)
     return OuterField(grid, out, signal.space)
 
@@ -217,16 +219,15 @@ def embed_packet_sequence(
     grid: TFSGrid,
     *,
     sign: int = +1,
-    method: str = "spectral",
 ) -> OuterField:
     """Packet embedding of a signal sequence against a cutoff selection.
 
     Entry j pairs with the packets of the interval (c_j(x), c_{j+1}(x));
-    the result is the sum over entries.  Selections constant across samples
-    reduce to per-interval calls of :func:`embed_packets`; per-sample
-    selections change the kernel with x, which defeats the spectral route
-    (``method="direct"`` required) and is evaluated by grouping samples
-    with equal cutoff pairs.
+    the result is the sum over entries.  A selection constant across samples
+    is one :func:`embed_packets` call per nonempty interval; a per-sample
+    selection changes the kernel with x, which no spectral sum carries, so
+    each group of samples with equal cutoff pairs takes the spatial sum of
+    :func:`embed_packets_direct`.
     """
     first = sequence.entries[0]
     levels = selection.levels
@@ -239,8 +240,6 @@ def embed_packet_sequence(
         )
     _check_scales(grid, first.n, first.dx, table.spec.b)
     constant = bool(np.all(levels == levels[:1, :]))
-    if not constant and method != "direct":
-        raise ConfigurationError("per-sample selections need the direct method")
     values = np.zeros(grid.shape + (first.dim,), dtype=complex)
     x = first.grid()
     for j, entry in enumerate(sequence.entries):
@@ -248,7 +247,7 @@ def embed_packet_sequence(
             lo, hi = float(levels[0, j]), float(levels[0, j + 1])
             if not hi > lo:
                 continue  # empty interval carries no packets
-            values += embed_packets(entry, table, (lo, hi), grid, sign=sign, method=method).values
+            values += embed_packets(entry, table, (lo, hi), grid, sign=sign).values
             continue
         pairs = levels[:, j : j + 2]
         uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
@@ -381,10 +380,7 @@ def check_dual_representation(
             rhs += term
         nodes += row_sum.size
     abs_err = abs(lhs - rhs)
-    if lhs != 0:
-        rel_err = abs_err / abs(lhs)
-    else:
-        rel_err = 0.0 if abs_err == 0.0 else math.inf
+    rel_err, _ = _ratio(abs_err, abs(lhs))
     return {
         "lhs": lhs,
         "rhs": rhs,
@@ -437,13 +433,12 @@ def check_domination(
     """
     table = config.table
     levels = selection.levels
-    if selection.steps != len(sequence.entries):
+    # a boolean mask: ~ of an integer mask is nonzero everywhere and would exclude nothing
+    if excluded is not None and (excluded.shape != grid.shape or excluded.dtype != bool):
         raise ValueError(
-            f"selection defines {selection.steps} intervals, sequence has "
-            f"{len(sequence.entries)} entries"
+            f"excluded must be a boolean mask of grid shape {grid.shape}, "
+            f"got {excluded.dtype} of shape {excluded.shape}"
         )
-    if excluded is not None and excluded.shape != grid.shape:
-        raise ValueError(f"excluded mask shape {excluded.shape} != grid shape {grid.shape}")
     keep = None if excluded is None else ~excluded
     out: dict = {}
     vacuous = True
@@ -466,11 +461,8 @@ def check_domination(
         out[f"{label}_denominator_full"] = denom_full
         out[f"{label}_denominator_masked"] = denom_masked
         for reading, denom in (("full", denom_full), ("masked", denom_masked)):
-            if denom > 0.0:
-                ratio = num / denom
-            else:
-                ratio = math.inf if num > 0.0 else 0.0
-                violation = violation or num > 0.0
+            ratio, degenerate = _ratio(num, denom)
+            violation = violation or degenerate
             out[f"{label}_{reading}_ratio"] = ratio
         vacuous = vacuous and num == 0.0 and denom_full == 0.0
     out["finite"] = all(
@@ -514,12 +506,10 @@ def load_field(path) -> OuterField:
     if missing:
         raise ConfigurationError(f"field dump header lacks {', '.join(missing)} in {path}")
     try:
-        axes = [np.asarray(header[key], dtype=float) for key in ("eta", "y", "t")]
-        dim, exponent = int(header["dim"]), float(header["exponent"])
-    except (TypeError, ValueError) as exc:
+        grid = TFSGrid(header["eta"], header["y"], header["t"])
+        space = NormedSpace(header["dim"], header["exponent"])
+    except ConfigurationError as exc:
         raise ConfigurationError(f"field dump header has a malformed value ({exc}) in {path}")
-    grid = TFSGrid(*axes)
-    space = NormedSpace(dim, exponent)
     shape = grid.shape + (space.dim,)
     want = math.prod(shape) * np.dtype(np.complex128).itemsize
     if len(raw) != want:

@@ -14,9 +14,6 @@ from the transform conventions of :mod:`varcarleson.core` (``_freq_grid``,
 
 from __future__ import annotations
 
-import math
-import warnings
-
 import numpy as np
 
 from .core import (
@@ -67,31 +64,26 @@ def _cutoff_weights(freqs: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
 
 
 def partial_fourier(signal: SampledSignal, xi: float) -> SampledSignal:
-    """Partial Fourier integral with cutoff ``xi``.
+    """Partial Fourier integral with cutoff ``xi``, one column of :func:`carleson_path`.
 
-    Cutoffs outside the represented band [-Nyquist, Nyquist) are clamped with
-    a warning; below-band clamps to the zero signal, above-band to the full
-    inverse transform.
+    Its weight rule alone decides: a cutoff below every frequency (``-inf``
+    among them) gives the zero signal, one above every frequency (``+inf``
+    among them) the full inverse transform.
     """
-    xi = float(xi)
-    if math.isnan(xi):
-        raise ValueError("cutoff must not be NaN")
-    nyq = 0.5 / signal.dx
-    if abs(xi) > nyq:
-        warnings.warn(
-            f"cutoff {xi} is outside the represented band [{-nyq}, {nyq}]; clamping",
-            stacklevel=2,
-        )
-        xi = min(max(xi, -nyq), nyq)
     return signal.with_values(carleson_path(signal, [xi])[:, 0, :])
 
 
 def carleson_path(signal: SampledSignal, xi_grid: np.ndarray | None = None) -> np.ndarray:
-    """Partial-integral values at every sample and cutoff, shape (n, K, d)."""
+    """Partial-integral values at every sample and cutoff, shape (n, K, d).
+
+    One rule, :func:`_cutoff_weights` (1 below, 1/2 at, 0 above), for any
+    cutoff but NaN: ``-inf`` and ``+inf`` weigh every coefficient 0 and 1.
+    The cutoffs default to the frequencies themselves.
+    """
     freqs, coeffs = _spectrum(signal)
     grid = freqs if xi_grid is None else np.asarray(xi_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1 or not np.all(np.isfinite(grid)):
-        raise ValueError("cutoff grid must be a finite 1-D array")
+    if grid.ndim != 1 or grid.size < 1 or np.any(np.isnan(grid)):
+        raise ValueError("cutoff grid must be a 1-D array without NaN")
     weights = _cutoff_weights(freqs, grid)  # (K, n)
     out = np.empty((signal.n, grid.size, signal.dim), dtype=complex)
     block = max(1, (1 << 22) // (signal.n * signal.dim))  # cap scratch at ~64 MiB

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, dual_exponent, duality_pairing
+from .core import ConfigurationError, _ratio, dual_exponent, duality_pairing
 from .tfs import (
     OuterField,
     Strip,
@@ -570,9 +570,7 @@ def size_holder_check(
         )
     else:
         raise ConfigurationError(f"unknown check kind {kind!r}")
-    product = lhs * rhs
-    infinite = product == 0.0 and pairing > 0.0
-    ratio = math.inf if infinite else (pairing / product if product > 0.0 else 0.0)
+    ratio, infinite = _ratio(pairing, lhs * rhs)
     return {
         "pairing": pairing,
         "lhs_norm": lhs,

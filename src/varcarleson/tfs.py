@@ -43,13 +43,21 @@ __all__ = [
 ]
 
 
-def _uniform_steps(name: str, arr: np.ndarray) -> float:
-    d = np.diff(arr)
-    if arr.size < 2 or np.any(d <= 0):
-        raise ConfigurationError(f"{name} must be ascending with >= 2 points")
-    if not np.allclose(d, d[0], rtol=1e-9, atol=0.0):
-        raise ConfigurationError(f"{name} must be uniformly spaced")
-    return float(d[0])
+def _axis(name: str, values, geometric: bool = False) -> tuple:
+    """A 1-D axis of >= 2 finite numbers and its step: difference > 0, or ratio > 1 if geometric."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.array(np.nan)  # fails the check below
+    if arr.ndim != 1 or arr.size < 2 or not np.all(np.isfinite(arr)):
+        raise ConfigurationError(f"{name} grid must be a 1-D array of >= 2 finite numbers")
+    if geometric and np.any(arr <= 0):
+        raise ConfigurationError(f"{name} grid must be positive")
+    steps, least = (arr[1:] / arr[:-1], 1.0) if geometric else (np.diff(arr), 0.0)
+    if np.any(steps <= least) or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        shape = "geometric with ratio > 1" if geometric else "ascending and uniformly spaced"
+        raise ConfigurationError(f"{name} grid must be {shape}")
+    return arr, float(steps[0])
 
 
 @dataclass(frozen=True)
@@ -61,21 +69,14 @@ class TFSGrid:
     t: np.ndarray
 
     def __post_init__(self):
-        eta = np.asarray(self.eta, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        t = np.asarray(self.t, dtype=float)
-        d_eta = _uniform_steps("eta grid", eta)
-        d_y = _uniform_steps("y grid", y)
-        if t.size < 2 or np.any(t <= 0):
-            raise ConfigurationError("t grid needs >= 2 positive points")
-        ratios = t[1:] / t[:-1]
-        if np.any(ratios <= 1.0) or not np.allclose(ratios, ratios[0], rtol=1e-9, atol=0.0):
-            raise ConfigurationError("t grid must be geometric with ratio > 1")
+        eta, d_eta = _axis("eta", self.eta)
+        y, d_y = _axis("y", self.y)
+        t, ratio = _axis("t", self.t, geometric=True)
         for name, arr in (("eta", eta), ("y", y), ("t", t)):
             object.__setattr__(self, name, _freeze(arr))
         object.__setattr__(self, "d_eta", d_eta)
         object.__setattr__(self, "d_y", d_y)
-        object.__setattr__(self, "log_ratio", float(np.log(ratios[0])))
+        object.__setattr__(self, "log_ratio", float(np.log(ratio)))
 
     @classmethod
     def build(
@@ -94,7 +95,7 @@ class TFSGrid:
             )
         # tolerate roundoff when t_max/t_min is an exact power of ratio
         count = int(math.floor(math.log(t_max / t_min) / math.log(ratio) + 1e-9)) + 1
-        t = t_min * ratio ** np.arange(max(count, 2))
+        t = t_min * ratio ** np.arange(count)
         return cls(
             np.linspace(eta_range[0], eta_range[1], int(eta_steps)),
             np.linspace(y_range[0], y_range[1], int(y_steps)),

@@ -164,6 +164,7 @@ class Bumps:
         z = np.asarray(z, dtype=float)
         eps = self.spec.eps
         out = np.empty_like(z)
+        out.fill(np.nan)  # NaN in, NaN out
         out[z <= -eps] = 0.0
         out[z >= eps] = 1.0
         mid = np.abs(z) < eps

@@ -408,7 +408,9 @@ def test_signal_too_coarse_for_scales_is_rejected(tmp_path, capsys, section, ove
             # TFS grid axes: at least two ascending nodes, a rising scale ladder
             ("holder.grid.y", ["verify", "holder"], [[-4, 4, -2], [-4, 4, 1], [4, -4, 9]]),
             ("domination.grid.eta", ["verify", "domination"], [[-2, 2, 0], [-2, 2, 16.5]]),
-            ("packets.grid.t", ["packets", "dump"], [[0.4, 1.6, 1.0], [1.6, 0.4, 2.0], [0.4]]),
+            # [0.4, 0.5, 2.0] holds one scale of the ladder: TFSGrid.build refuses it
+            ("packets.grid.t", ["packets", "dump"],
+             [[0.4, 1.6, 1.0], [1.6, 0.4, 2.0], [0.4], [0.4, 0.5, 2.0]]),
             # bump radii need 0 < b <= 1/8 and 0 < eps <= b/16; b is read by the
             # embedded-signal checks too, so it must be rejected by its own key first
             ("table.b", ["verify", "dual"], [0.0, -0.125, 0.25]),

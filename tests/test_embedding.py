@@ -27,6 +27,7 @@ from varcarleson.embedding import (
     embed_majorant,
     embed_packet_sequence,
     embed_packets,
+    embed_packets_direct,
     embed_signal,
     load_field,
     theta_windows,
@@ -101,9 +102,6 @@ def test_embed_undersampled_grid_raises(config, table):
         embed_signal(f, bad, config)
     with pytest.raises(ConfigurationError):
         embed_packets(f, table, (-2.5, 2.5), bad, sign=+1)
-    with pytest.raises(ValueError):
-        good = signal_grid_tfs(f, (-1.0, 1.0), 3, 0.4, 0.9)
-        embed_packets(f, table, (-2.5, 2.5), good, method="fancy")
 
 
 def test_embed_signal_parseval_on_plateau(config):
@@ -158,7 +156,7 @@ def test_embed_packets_direct_route_matches_spectral(narrow_table):
     f = g.with_values(g.values * np.exp(2j * np.pi * (50.0 * x + 0.05 * x * x))[:, None])
     grid = TFSGrid.build((50.05, 50.15), 2, (-2.0, 2.0), 5, 0.02, 0.05, 2.0)
     a_spec = embed_packets(f, narrow_table, (0.0, math.inf), grid, sign=+1)
-    a_dir = embed_packets(f, narrow_table, (0.0, math.inf), grid, sign=+1, method="direct")
+    a_dir = embed_packets_direct(f, narrow_table, (0.0, math.inf), grid, sign=+1)
     scale = np.abs(a_spec.values).max()
     assert scale > 0.0
     assert np.abs(a_spec.values - a_dir.values).max() <= 1e-8 * scale
@@ -168,7 +166,7 @@ def test_embed_packets_direct_route_matches_spectral(narrow_table):
 
     mirror = TFSGrid.build((-50.15, -50.05), 2, (-2.0, 2.0), 5, 0.02, 0.05, 2.0)
     m_spec = embed_packets(f, narrow_table, (-math.inf, 0.0), mirror, sign=-1)
-    m_dir = embed_packets(f, narrow_table, (-math.inf, 0.0), mirror, sign=-1, method="direct")
+    m_dir = embed_packets_direct(f, narrow_table, (-math.inf, 0.0), mirror, sign=-1)
     m_scale = max(np.abs(m_spec.values).max(), scale)
     assert np.abs(m_spec.values - m_dir.values).max() <= 1e-8 * m_scale
 
@@ -209,17 +207,14 @@ def test_embed_packet_sequence_per_sample_matches_split(config, table):
     half = np.arange(f.n) < f.n // 2
     levels = np.where(half[:, None], [-2.5, 2.5], [-2.0, 3.0])
     selection = FrequencySelection(levels)
-    got = embed_packet_sequence(SequenceSignal((f,)), table, selection, grid,
-                                method="direct")
+    got = embed_packet_sequence(SequenceSignal((f,)), table, selection, grid)
     # each cutoff group equals the embedding of the signal zeroed elsewhere
     want = np.zeros_like(got.values)
     for rows, interval in ((half, (-2.5, 2.5)), (~half, (-2.0, 3.0))):
         part = f.with_values(np.where(rows[:, None], f.values, 0.0))
-        want += embed_packets(part, table, interval, grid, method="direct").values
+        want += embed_packets_direct(part, table, interval, grid).values
     assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
 
-    with pytest.raises(ConfigurationError):
-        embed_packet_sequence(SequenceSignal((f,)), table, selection, grid)
     with pytest.raises(ValueError):
         embed_packet_sequence(SequenceSignal((f,)), table,
                               FrequencySelection.constant([0.0, 1.0], f.n + 1), grid)
@@ -233,7 +228,7 @@ def test_embed_majorant_kernel_mass(config):
                     n=256, dx=1.0 / 16.0, space=SPACE)
     increments = linearized_vc(f, FrequencySelection.constant([-20.0, 20.0], f.n))
     anchors = np.zeros((f.n, 1))
-    wide = TFSGrid.build((0.0, 0.1), 2, (-40.0, 40.0), 1601, 0.5, 0.6, 2.0)
+    wide = TFSGrid.build((0.0, 0.1), 2, (-40.0, 40.0), 1601, 0.5, 1.0, 2.0)
     m = embed_majorant(increments, anchors, wide, (-0.25, 1.125), config)
     assert m.space.dim == 1
     assert np.abs(m.values.imag).max() == 0.0
@@ -444,6 +439,15 @@ def test_domination_validation(config):
                          excluded=np.zeros((2, 2, 2), dtype=bool), dictionaries=dicts)
 
 
+def test_domination_rejects_a_non_boolean_exclusion(config):
+    # ~ of an integer mask is nonzero everywhere, so it would exclude nothing
+    f, grid, selection, dicts = domination_setup(config)
+    excluded = tree_membership(grid, dicts[+1].trees[len(dicts[+1]) // 2])
+    with pytest.raises(ValueError, match="boolean"):
+        check_domination(SequenceSignal((f,)), selection, grid, config,
+                         excluded=excluded.astype(int), dictionaries=dicts)
+
+
 def test_holder_on_embedded_fields(config):
     cal = CALIBRATION["holder"]
     grid = build_calibrated_grid(cal["grids"]["ref"])
@@ -500,7 +504,10 @@ def small_field_dump(config, path):
 @pytest.mark.parametrize("key, value, message", [
     ("dim", None, r"lacks dim in .*field\.vcf"),
     ("dim", "two", r"malformed value .* in .*field\.vcf"),
-], ids=["missing-key", "mistyped-value"])
+    ("dim", 2.5, r"malformed value .*dim.* in .*field\.vcf"),
+    ("eta", [[-1.0, 1.0]], r"malformed value .*eta grid.* in .*field\.vcf"),
+    ("eta", [0.0, math.inf], r"malformed value .*eta grid.* in .*field\.vcf"),
+], ids=["missing-key", "mistyped-value", "fractional-dim", "2d-axis", "infinite-axis"])
 def test_load_field_rejects_bad_header(config, tmp_path, key, value, message):
     path = tmp_path / "field.vcf"
     header, payload = small_field_dump(config, path)

@@ -99,9 +99,24 @@ def test_cutoff_weight_convention_is_symmetric():
 
 def test_partial_fourier_clamps_with_warning():
     sig = _gaussian(n=64, dx=1 / 8)
-    with pytest.warns(UserWarning):
-        out = partial_fourier(sig, 100.0)
+    out = partial_fourier(sig, 100.0)
     assert np.abs(out.values - sig.values).max() < 1e-10
+
+
+def test_partial_fourier_past_the_band_follows_the_weight_rule():
+    # a unit cosine at Nyquist (n = 16, dx = 0.5) lives on the -Nyquist bin alone
+    x = np.arange(16) * 0.5
+    sig = SampledSignal(0.0, 0.5, np.cos(2.0 * np.pi * x)[:, None], SPACE1)
+    for below in (-1.5, -math.inf):
+        assert np.abs(partial_fourier(sig, below).values).max() == 0.0
+    # at -Nyquist the bin takes half weight
+    assert np.abs(partial_fourier(sig, -1.0).values - 0.5 * sig.values).max() < 1e-12
+    for above in (1.5, math.inf):
+        assert np.abs(partial_fourier(sig, above).values - sig.values).max() < 1e-12
+    with pytest.raises(ValueError, match="NaN"):
+        partial_fourier(sig, math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        carleson_path(sig, [0.0, math.nan])
 
 
 def test_carleson_path_matches_direct_oracle():

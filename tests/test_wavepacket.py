@@ -61,6 +61,15 @@ def test_bump_values_and_partition():
     assert float(bumps.phi_hat(0.0)) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
 
+def test_bump_step_maps_nan_to_nan():
+    bumps = build_bumps(BumpSpec())
+    z = np.array([math.nan, -1.0, 0.0, 1.0, math.nan])
+    for values in (bumps.chi_plus(z), bumps.chi_minus(z)):
+        assert np.isnan(values[[0, 4]]).all()
+        assert not np.isnan(values[1:4]).any()
+    assert math.isnan(float(bumps.chi_plus(math.nan)))
+
+
 def test_build_bumps_is_memoized_per_spec():
     bumps = build_bumps(BumpSpec(1.0 / 16.0))
     # eps defaults to b/16 = 1/256, so both specs are equal keys
